@@ -12,7 +12,6 @@
 //     --cost-model         resolve 'auto' with the Section-5 cost model
 //     --leaf-strict        Definition-8 leaf condition
 //     --explain            print the executed plan (single-document mode)
-//     --parallel N         run kernels on an N-worker pool (default 1)
 //     --max N              print at most N fragments (default 10)
 //     --save-bundle PATH   persist the parsed document + index (single file)
 //     --xml                print each answer fragment as an XML snippet
@@ -40,7 +39,7 @@ int Usage(const char* argv0) {
       stderr,
       "usage: %s <file.xml|file.xdb>... <keyword>... [options]\n"
       "  --filter EXPR | --strategy S | --cost-model | --leaf-strict\n"
-      "  --explain | --analyze | --parallel N | --max N\n"
+      "  --explain | --analyze | --max N\n"
       "  --save-bundle PATH | --xml\n",
       argv0);
   return 2;
@@ -67,7 +66,6 @@ int main(int argc, char** argv) {
   bool leaf_strict = false, explain = false, cost_model = false,
        print_xml = false, analyze = false;
   size_t max_print = 10;
-  long parallelism = 1;
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -88,12 +86,6 @@ int main(int argc, char** argv) {
       cost_model = true;
     } else if (arg == "--xml") {
       print_xml = true;
-    } else if (arg == "--parallel" && i + 1 < argc) {
-      parallelism = std::atol(argv[++i]);
-      if (parallelism < 1) {
-        std::fprintf(stderr, "--parallel requires a worker count >= 1\n");
-        return 2;
-      }
     } else if (arg == "--max" && i + 1 < argc) {
       max_print = static_cast<size_t>(std::atol(argv[++i]));
     } else if (arg.rfind("--", 0) == 0) {
@@ -179,7 +171,6 @@ int main(int argc, char** argv) {
   }
   options.optimizer.use_cost_model = cost_model;
   options.analyze = analyze;
-  options.executor.parallelism = static_cast<unsigned>(parallelism);
   if (leaf_strict) {
     options.answer_mode = xfrag::query::AnswerMode::kLeafStrict;
   }

@@ -9,17 +9,18 @@
 # smoke mode (tiny inputs, one repetition) so the perf trajectory cannot
 # silently rot. The sanitizer stages rebuild with -DXFRAG_SANITIZE=address in
 # a separate build dir and run the algebra, query (top-k engine path), and
-# concurrency suites (plus everything labelled `parallel`, which includes
-# the DAG-equivalence property suite, and `storage`, the mmap snapshot
+# concurrency suites (plus everything labelled `parallel` — ThreadPool, the
+# FixedPointCache hammer, the collection fan-out, and the serial DAG and
+# prefilter equivalence suites — and `storage`, the mmap snapshot
 # corruption/fuzz suites) under ASan — the kernels that do manual
 # arena/buffer/mmap work — and finally rebuild with
 # -DXFRAG_SANITIZE=thread and run everything labelled `server` (the xfragd
 # loopback integration suite, the /admin/reload epoch-swap suite, and the
 # /query_batch byte-identity suite included), `router` (the scatter-gather
 # tier with its hedging, cancellation, and batch-scatter paths), and
-# `parallel` (the pooled class-aware kernels with their per-chunk DAG
-# caches) under TSan, since those are the places worker threads share an
-# engine, caches, or replay state. The batched-evaluation suites ride the
+# `parallel` (ThreadPool, the FixedPointCache hammer, and the collection
+# fan-out) under TSan, since those are the places worker threads share an
+# engine, a pool, or caches. The batched-evaluation suites ride the
 # existing stages: query/batch_test in tier-1 ctest and the ASan query_test
 # run, server/batch_equivalence_test under `-L server`, and
 # router/router_batch_test under `-L router` — both in tier-1 and again
@@ -48,6 +49,13 @@ echo "== server: ctest -L server (tier-1 build) =="
 
 echo "== storage: ctest -L storage (tier-1 build) =="
 (cd build && ctest -L storage --output-on-failure -j "$JOBS")
+
+echo "== flake: ctest -L 'storage|server' -j8 --repeat until-fail:5 =="
+# Tests that touch files, sockets or worker threads must pass every time
+# under a wide ctest -j, not only when run serially: each case runs as its
+# own process, five times over, eight at a time.
+(cd build && ctest -L 'storage|server' --output-on-failure -j 8 \
+  --repeat until-fail:5)
 
 echo "== router: ctest -L router (tier-1 build) =="
 (cd build && ctest -L router --output-on-failure -j "$JOBS")
@@ -98,8 +106,8 @@ cmake --build build-tsan -j "$JOBS" --target server_test router_test \
 echo "== tsan: run =="
 (cd build-tsan && ctest -L server --output-on-failure -j "$JOBS")
 (cd build-tsan && ctest -L router --output-on-failure -j "$JOBS")
-# The DAG-equivalence stage: pooled class-aware kernels (per-chunk replay
-# caches) must be data-race-free at every thread count the suite sweeps.
+# The `parallel` label under TSan: ThreadPool, the FixedPointCache hammer
+# and the collection's per-document fan-out must be data-race-free.
 (cd build-tsan && ctest -L parallel --output-on-failure -j "$JOBS")
 
 echo "== check.sh: all stages passed =="

@@ -44,10 +44,8 @@ inline constexpr uint32_t kNoLocalForm = 0xFFFFFFFFu;
 
 /// \brief Interner of fragment local forms for one (document, class index).
 ///
-/// Not thread-safe; the serial kernels own one per invocation and the
-/// parallel kernels one per worker chunk (per-chunk interning keeps the
-/// kernels lock-free — only the schedule-dependent dag counters differ
-/// between thread counts, never results or logical counters).
+/// Not thread-safe; each kernel invocation owns one (FixedPointFiltered keeps
+/// one across its iterations).
 class DagFormTable {
  public:
   DagFormTable(const Document& document, const doc::SubtreeClassIndex& dag)

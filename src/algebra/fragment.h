@@ -143,7 +143,7 @@ class Fragment {
   bool operator<(const Fragment& other) const { return nodes_ < other.nodes_; }
 
   /// 64-bit structural hash, computed once at construction and cached —
-  /// FragmentSet and FragmentPool lookups never rescan the nodes.
+  /// FragmentSet lookups never rescan the nodes.
   uint64_t Hash() const { return hash_; }
 
   /// Total number of O(|f|) hash computations performed process-wide.

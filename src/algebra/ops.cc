@@ -22,6 +22,77 @@ void CountJoin(OpMetrics* metrics) {
   }
 }
 
+// Reusable scratch buffers for the join kernels: one per kernel invocation
+// lets every join reuse the same grown-once vectors for path extraction and
+// merging instead of allocating fresh ones per pair. The produced fragment
+// still owns a fresh exact-size node vector.
+struct JoinArena {
+  // Operand nodes merged (sorted, possibly with cross-operand duplicates).
+  std::vector<NodeId> merged;
+  // Connecting-path nodes, sorted ascending.
+  std::vector<NodeId> paths;
+};
+
+// Definition 4 with caller-owned scratch buffers (the kernels' form of Join).
+Fragment JoinWithArena(const Document& document, const Fragment& f1,
+                       const Fragment& f2, JoinArena* arena,
+                       OpMetrics* metrics) {
+  CountJoin(metrics);
+  // Absorption fast paths (f1 ⋈ f2 = f1 when f2 ⊆ f1).
+  if (f1.ContainsFragment(f2)) return f1;
+  if (f2.ContainsFragment(f1)) return f2;
+  NodeId r1 = f1.root();
+  NodeId r2 = f2.root();
+  NodeId lca = document.Lca(r1, r2);
+  // Operand nodes as one sorted run (cross-operand duplicates possible).
+  arena->merged.clear();
+  arena->merged.reserve(f1.size() + f2.size());
+  std::merge(f1.nodes().begin(), f1.nodes().end(), f2.nodes().begin(),
+             f2.nodes().end(), std::back_inserter(arena->merged));
+  // Connecting paths r1→lca and r2→lca. Walking parents yields descending
+  // pre-order, so each run is reversed into ascending order in place.
+  arena->paths.clear();
+  for (NodeId n = r1;; n = document.parent(n)) {
+    arena->paths.push_back(n);
+    if (n == lca) break;
+  }
+  std::reverse(arena->paths.begin(), arena->paths.end());
+  const size_t mid = arena->paths.size();
+  for (NodeId n = r2;; n = document.parent(n)) {
+    arena->paths.push_back(n);
+    if (n == lca) break;
+  }
+  std::reverse(arena->paths.begin() + mid, arena->paths.end());
+  // Three-way merge-with-dedup of the sorted runs straight into the result —
+  // no re-sort, and the only allocation is the fragment's own exact vector.
+  const NodeId* a = arena->paths.data();
+  const NodeId* ae = a + mid;
+  const NodeId* b = arena->paths.data() + mid;
+  const NodeId* be = arena->paths.data() + arena->paths.size();
+  const std::vector<NodeId>& m = arena->merged;
+  std::vector<NodeId> out;
+  out.reserve(m.size() + arena->paths.size());
+  size_t im = 0;
+  while (im < m.size() || a != ae || b != be) {
+    NodeId v = doc::kNoNode;  // kNoNode = max uint32, never a member id.
+    if (im < m.size()) v = std::min(v, m[im]);
+    if (a != ae) v = std::min(v, *a);
+    if (b != be) v = std::min(v, *b);
+    if (im < m.size() && m[im] == v) {
+      ++im;
+    } else if (a != ae && *a == v) {
+      ++a;
+    } else {
+      ++b;
+    }
+    if (out.empty() || out.back() != v) out.push_back(v);
+  }
+  // Path nodes are ancestors of the operand roots, so the deepest member of
+  // the join is the deepest operand member — the summary is O(1) complete.
+  uint32_t max_depth = std::max(f1.MaxDepth(document), f2.MaxDepth(document));
+  return Fragment::FromSortedUnchecked(std::move(out), max_depth);
+}
+
 // A pair rejected from its summary bounds counts exactly like a join whose
 // result failed the filter — the logical counters stay invariant under the
 // prefilter — plus the prefilter counter recording the avoided work.
@@ -185,36 +256,6 @@ bool DagCompressionEnabled() {
   return g_dag_compression_enabled.load(std::memory_order_relaxed);
 }
 
-std::vector<ReduceEntry> BuildReduceIndex(const FragmentSet& set) {
-  std::vector<ReduceEntry> by_min;
-  by_min.reserve(set.size());
-  for (size_t t = 0; t < set.size(); ++t) {
-    const Fragment& f = set[t];
-    by_min.push_back(ReduceEntry{f.min_pre(), f.max_pre(),
-                                 static_cast<uint32_t>(f.size()),
-                                 static_cast<uint32_t>(t)});
-  }
-  std::sort(by_min.begin(), by_min.end(),
-            [](const ReduceEntry& a, const ReduceEntry& b) {
-              return a.min != b.min ? a.min < b.min : a.index < b.index;
-            });
-  return by_min;
-}
-
-std::pair<size_t, size_t> ReduceWindow(const std::vector<ReduceEntry>& by_min,
-                                       NodeId min_pre, NodeId max_pre) {
-  auto lo = std::lower_bound(by_min.begin(), by_min.end(), min_pre,
-                             [](const ReduceEntry& e, NodeId v) {
-                               return e.min < v;
-                             });
-  auto hi = std::upper_bound(lo, by_min.end(), max_pre,
-                             [](NodeId v, const ReduceEntry& e) {
-                               return v < e.min;
-                             });
-  return {static_cast<size_t>(lo - by_min.begin()),
-          static_cast<size_t>(hi - by_min.begin())};
-}
-
 JoinBounds ComputeJoinBounds(const Document& document,
                              const FragmentSummary& s1,
                              const FragmentSummary& s2) {
@@ -242,65 +283,6 @@ JoinBounds ComputeJoinBounds(const Document& document,
   // Both roots are members, so their exact distance bounds the diameter.
   bounds.roots_distance = up1 + up2;
   return bounds;
-}
-
-Fragment JoinWithArena(const Document& document, const Fragment& f1,
-                       const Fragment& f2, JoinArena* arena,
-                       OpMetrics* metrics) {
-  CountJoin(metrics);
-  // Absorption fast paths (f1 ⋈ f2 = f1 when f2 ⊆ f1).
-  if (f1.ContainsFragment(f2)) return f1;
-  if (f2.ContainsFragment(f1)) return f2;
-  NodeId r1 = f1.root();
-  NodeId r2 = f2.root();
-  NodeId lca = document.Lca(r1, r2);
-  // Operand nodes as one sorted run (cross-operand duplicates possible).
-  arena->merged.clear();
-  arena->merged.reserve(f1.size() + f2.size());
-  std::merge(f1.nodes().begin(), f1.nodes().end(), f2.nodes().begin(),
-             f2.nodes().end(), std::back_inserter(arena->merged));
-  // Connecting paths r1→lca and r2→lca. Walking parents yields descending
-  // pre-order, so each run is reversed into ascending order in place.
-  arena->paths.clear();
-  for (NodeId n = r1;; n = document.parent(n)) {
-    arena->paths.push_back(n);
-    if (n == lca) break;
-  }
-  std::reverse(arena->paths.begin(), arena->paths.end());
-  const size_t mid = arena->paths.size();
-  for (NodeId n = r2;; n = document.parent(n)) {
-    arena->paths.push_back(n);
-    if (n == lca) break;
-  }
-  std::reverse(arena->paths.begin() + mid, arena->paths.end());
-  // Three-way merge-with-dedup of the sorted runs straight into the result —
-  // no re-sort, and the only allocation is the fragment's own exact vector.
-  const NodeId* a = arena->paths.data();
-  const NodeId* ae = a + mid;
-  const NodeId* b = arena->paths.data() + mid;
-  const NodeId* be = arena->paths.data() + arena->paths.size();
-  const std::vector<NodeId>& m = arena->merged;
-  std::vector<NodeId> out;
-  out.reserve(m.size() + arena->paths.size());
-  size_t im = 0;
-  while (im < m.size() || a != ae || b != be) {
-    NodeId v = doc::kNoNode;  // kNoNode = max uint32, never a member id.
-    if (im < m.size()) v = std::min(v, m[im]);
-    if (a != ae) v = std::min(v, *a);
-    if (b != be) v = std::min(v, *b);
-    if (im < m.size() && m[im] == v) {
-      ++im;
-    } else if (a != ae && *a == v) {
-      ++a;
-    } else {
-      ++b;
-    }
-    if (out.empty() || out.back() != v) out.push_back(v);
-  }
-  // Path nodes are ancestors of the operand roots, so the deepest member of
-  // the join is the deepest operand member — the summary is O(1) complete.
-  uint32_t max_depth = std::max(f1.MaxDepth(document), f2.MaxDepth(document));
-  return Fragment::FromSortedUnchecked(std::move(out), max_depth);
 }
 
 Fragment Join(const Document& document, const Fragment& f1, const Fragment& f2,
@@ -339,6 +321,28 @@ FragmentSet PairwiseJoinFiltered(const Document& document,
   return out;
 }
 
+namespace {
+
+// Bootstraps a top-k collector's score floor from a few high-evidence
+// candidate pairs before the full pair loop runs.
+//
+// Ranks each operand set by its standalone evidence reach (the scorer's
+// evidence summary with no partner, penalized by the fragment's own size),
+// joins the top max(8, k) fragments of one side with the top of the other
+// through the kernels' exact pair path (summary prefilter, filter, `accept`,
+// duplicate rejection), and — when that yields k distinct true answers —
+// seeds `collector` with their k-th best score. Sound: the witnesses are
+// genuine answers of this very enumeration and the main loop offers them
+// again, so the floor's promise (k distinct answers at or above it) holds
+// and the collector's final content is unchanged; the warmup only lets the
+// bounds bite from the first row instead of after k accidental acceptances.
+// Costs at most max(8, k)² joins; skipped when k is 0 or above 64 (a
+// scratch that size rarely fills, and large-k floors rarely bite anyway).
+// Warmup work is deliberately invisible in OpMetrics: the main loop
+// re-counts every pair it visits, so the counters stay deterministic.
+//
+// `sums*`/`ev*` are the operand summaries and evidence vectors the calling
+// kernel already computed (parallel arrays: sums1[i] describes set1[i]).
 void WarmupTopKFloor(const Document& document, const FragmentSet& set1,
                      const FragmentSet& set2,
                      const std::vector<FragmentSummary>& sums1,
@@ -411,6 +415,8 @@ void WarmupTopKFloor(const Document& document, const FragmentSet& set1,
   if (scratch.full()) collector->SeedFloor(scratch.TakeSorted().back().score);
 }
 
+}  // namespace
+
 void PairwiseJoinTopK(const Document& document, const FragmentSet& set1,
                       const FragmentSet& set2, const FilterPtr& filter,
                       const FilterContext& context, const JoinScorer& scorer,
@@ -423,7 +429,7 @@ void PairwiseJoinTopK(const Document& document, const FragmentSet& set1,
   // collector-dependent score bounds (which are never cached — a pruned pair
   // depends on the heap's state, not on the pair's class), so the decision
   // sequence, every counter, and every Offer are identical to the uncached
-  // run at any fixed thread count.
+  // run.
   std::optional<DagJoinState> dag_state;
   if (DagUsable(dag, filter)) {
     dag_state.emplace(document, *dag);
@@ -694,6 +700,54 @@ StatusOr<FragmentSet> PowersetJoinBruteForce(
   }
   return out;
 }
+
+namespace {
+
+// One member of ⊖'s interval/size candidate index (see Reduce).
+struct ReduceEntry {
+  NodeId min = 0;
+  NodeId max = 0;
+  uint32_t size = 0;
+  // Position of the member within the original FragmentSet.
+  uint32_t index = 0;
+};
+
+// Members of `set` ordered by (min_pre, index). f ⊆ g requires
+// [min_f, max_f] ⊆ [min_g, max_g] and |f| ≤ |g|, so a joined fragment's
+// subsumption candidates form a contiguous window of this index.
+std::vector<ReduceEntry> BuildReduceIndex(const FragmentSet& set) {
+  std::vector<ReduceEntry> by_min;
+  by_min.reserve(set.size());
+  for (size_t t = 0; t < set.size(); ++t) {
+    const Fragment& f = set[t];
+    by_min.push_back(ReduceEntry{f.min_pre(), f.max_pre(),
+                                 static_cast<uint32_t>(f.size()),
+                                 static_cast<uint32_t>(t)});
+  }
+  std::sort(by_min.begin(), by_min.end(),
+            [](const ReduceEntry& a, const ReduceEntry& b) {
+              return a.min != b.min ? a.min < b.min : a.index < b.index;
+            });
+  return by_min;
+}
+
+// Half-open window [lo, hi) of `by_min` entries whose min lies in
+// [min_pre, max_pre].
+std::pair<size_t, size_t> ReduceWindow(const std::vector<ReduceEntry>& by_min,
+                                       NodeId min_pre, NodeId max_pre) {
+  auto lo = std::lower_bound(by_min.begin(), by_min.end(), min_pre,
+                             [](const ReduceEntry& e, NodeId v) {
+                               return e.min < v;
+                             });
+  auto hi = std::upper_bound(lo, by_min.end(), max_pre,
+                             [](NodeId v, const ReduceEntry& e) {
+                               return v < e.min;
+                             });
+  return {static_cast<size_t>(lo - by_min.begin()),
+          static_cast<size_t>(hi - by_min.begin())};
+}
+
+}  // namespace
 
 FragmentSet Reduce(const Document& document, const FragmentSet& set,
                    OpMetrics* metrics) {

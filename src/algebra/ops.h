@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <utility>
 
 #include "algebra/filter.h"
 #include "algebra/fragment_set.h"
@@ -38,8 +37,8 @@ namespace xfrag::algebra {
 /// filter evaluations the definitions mandate — and are invariant under the
 /// summary prefilters: a pair rejected from its O(1) summary bounds still
 /// counts as one (rejected) filtered join, so these counters match the
-/// unoptimized kernels exactly, for every thread count. The prefilter
-/// counters below them measure *physical* work avoided.
+/// unoptimized kernels exactly. The prefilter counters below them measure
+/// *physical* work avoided.
 struct OpMetrics {
   /// Number of binary fragment-join evaluations.
   uint64_t fragment_joins = 0;
@@ -59,23 +58,22 @@ struct OpMetrics {
   /// vector was merged and no filter ran. Deterministic per input.
   uint64_t pairs_rejected_summary = 0;
   /// Subsumption tests (std::includes) that ⊖'s interval/size candidate
-  /// index proved unnecessary. Schedule-dependent (see Reduce): excluded
-  /// from operator== because parallel elimination order differs.
+  /// index proved unnecessary. Physical: excluded from operator== (it is
+  /// zero with the summary prefilter off).
   uint64_t subsume_checks_skipped = 0;
   /// Pairs rejected in O(1) by the top-k score upper bound (PairwiseJoinTopK):
   /// ubound(f1 ⋈ f2) could not beat the current k-th best score, so neither
-  /// the join nor its score was computed. Schedule-dependent like
-  /// subsume_checks_skipped (each worker prunes against its own heap), hence
-  /// excluded from operator==; the *results* stay bit-identical regardless.
+  /// the join nor its score was computed. Depends on the collector's floor
+  /// (seeded, live or warmed up), hence excluded from operator==; the
+  /// *results* stay the same regardless.
   uint64_t pairs_rejected_score = 0;
 
   // DAG-compressed evaluation counters (docs/ALGEBRA.md, "DAG-compressed
   // evaluation"). Physical like the two above — they measure work *shared*
   // by the class-aware path, which replays the exact logical counter deltas
   // of the evaluation it avoided, so every logical counter stays invariant
-  // with DAG compression on or off. Excluded from operator== because cache
-  // population is schedule-dependent (per-worker caches in the parallel
-  // kernels) and zero with compression off.
+  // with DAG compression on or off. Excluded from operator== because they
+  // are zero with compression off.
   /// Distinct subtree equivalence classes (fragment local forms at the
   /// kernel level, document root classes at the collection level) the
   /// class-aware path interned.
@@ -89,9 +87,8 @@ struct OpMetrics {
 
   void Reset() { *this = OpMetrics(); }
 
-  /// Adds `other`'s counters into this one — how the parallel kernels fold
-  /// per-worker metrics together at the barrier, and how the collection
-  /// engine aggregates per-document metrics.
+  /// Adds `other`'s counters into this one — how the collection engine
+  /// aggregates per-document metrics.
   void Merge(const OpMetrics& other) {
     fragment_joins += other.fragment_joins;
     filter_evals += other.filter_evals;
@@ -107,11 +104,11 @@ struct OpMetrics {
     answers_multiplied_out += other.answers_multiplied_out;
   }
 
-  /// Compares every deterministic counter. `subsume_checks_skipped` and
-  /// `pairs_rejected_score` are deliberately excluded: how many checks the ⊖
-  /// index skips — and how many pairs the top-k bound prunes — depends on how
-  /// far elimination (or the heap) had progressed, which differs between the
-  /// serial pass and per-worker chunks without affecting any result.
+  /// Compares every logical counter plus the summary-prefilter rejections.
+  /// The other physical counters are deliberately excluded: how many checks
+  /// the ⊖ index skips, how many pairs the top-k bound prunes and how much
+  /// work DAG compression shares depend on switches and floors that never
+  /// affect any result.
   bool operator==(const OpMetrics& other) const {
     return fragment_joins == other.fragment_joins &&
            filter_evals == other.filter_evals &&
@@ -123,19 +120,6 @@ struct OpMetrics {
   }
 };
 
-/// \brief Reusable scratch buffers for the join kernels.
-///
-/// One arena per worker (or per serial kernel invocation) lets every join
-/// reuse the same grown-once vectors for path extraction and merging instead
-/// of allocating fresh ones per pair. The produced fragment still owns a
-/// fresh exact-size node vector.
-struct JoinArena {
-  /// Operand nodes merged (sorted, possibly with cross-operand duplicates).
-  std::vector<NodeId> merged;
-  /// Connecting-path nodes, sorted ascending.
-  std::vector<NodeId> paths;
-};
-
 /// \brief Definition 4: the minimal fragment of `document` containing both
 /// `f1` and `f2`.
 ///
@@ -144,15 +128,9 @@ struct JoinArena {
 /// path between two disjoint subtrees passes through both roots and their
 /// LCA, and minimal containing node sets in a tree are unique.
 ///
-/// Uses a thread-local JoinArena; the kernels pass an explicit one via
-/// JoinWithArena.
+/// Reuses thread-local scratch buffers; the kernels keep their own per call.
 Fragment Join(const Document& document, const Fragment& f1, const Fragment& f2,
               OpMetrics* metrics = nullptr);
-
-/// \brief Join with caller-owned scratch buffers (the kernels' form).
-Fragment JoinWithArena(const Document& document, const Fragment& f1,
-                       const Fragment& f2, JoinArena* arena,
-                       OpMetrics* metrics = nullptr);
 
 /// \brief O(1) bounds on f1 ⋈ f2 from the operands' summary headers (one LCA
 /// lookup plus arithmetic). See JoinBounds for the exactness guarantees.
@@ -179,26 +157,6 @@ bool SummaryPrefilterEnabled();
 /// toggled while kernels are running.
 void SetDagCompressionEnabled(bool enabled);
 bool DagCompressionEnabled();
-
-/// \brief One member of ⊖'s interval/size candidate index (see Reduce).
-struct ReduceEntry {
-  NodeId min = 0;
-  NodeId max = 0;
-  uint32_t size = 0;
-  /// Position of the member within the original FragmentSet.
-  uint32_t index = 0;
-};
-
-/// \brief Members of `set` ordered by (min_pre, index) — the read-only
-/// candidate index shared by Reduce and ReduceParallel. f ⊆ g requires
-/// [min_f, max_f] ⊆ [min_g, max_g] and |f| ≤ |g|, so a joined fragment's
-/// subsumption candidates form a contiguous window of this index.
-std::vector<ReduceEntry> BuildReduceIndex(const FragmentSet& set);
-
-/// \brief Half-open window [lo, hi) of `by_min` entries whose min lies in
-/// [min_pre, max_pre].
-std::pair<size_t, size_t> ReduceWindow(const std::vector<ReduceEntry>& by_min,
-                                       NodeId min_pre, NodeId max_pre);
 
 /// \brief Definition 5: { f1 ⋈ f2 | f1 ∈ set1, f2 ∈ set2 }, deduplicated.
 FragmentSet PairwiseJoin(const Document& document, const FragmentSet& set1,
@@ -234,39 +192,8 @@ FragmentSet Select(const FragmentSet& set, const FilterPtr& filter,
 /// scored. The executor passes the residual (non-pushed) selection and the
 /// answer-mode condition here so the collector only ever holds true final
 /// answers — a prerequisite for the score bound to prune soundly. An empty
-/// function accepts everything. Must be thread-safe for the parallel kernel.
+/// function accepts everything.
 using FragmentPredicate = std::function<bool(const Fragment&)>;
-
-/// \brief Bootstraps a top-k collector's score floor from a few
-/// high-evidence candidate pairs before the full pair loop runs.
-///
-/// Ranks each operand set by its standalone evidence reach (the scorer's
-/// evidence summary with no partner, penalized by the fragment's own size),
-/// joins the top max(8, k) fragments of one side with the top of the other
-/// through the kernels' exact pair path (summary prefilter, filter, `accept`,
-/// duplicate rejection), and — when that yields k distinct true answers —
-/// seeds `collector` with their k-th best score. Sound: the witnesses are
-/// genuine answers of this very enumeration and the main loop offers them
-/// again, so the floor's promise (k distinct answers at or above it) holds
-/// and the collector's final content is unchanged; the warmup only lets the
-/// bounds bite from the first row instead of after k accidental acceptances.
-/// Costs at most max(8, k)² joins; skipped when k is 0 or above 64 (a
-/// scratch that size rarely fills, and large-k floors rarely bite anyway).
-/// Warmup work is deliberately invisible in OpMetrics: the main loop
-/// re-counts every pair it visits, so the counters stay deterministic and
-/// identical between the serial and parallel kernels.
-///
-/// `sums*`/`ev*` are the operand summaries and evidence vectors the calling
-/// kernel already computed (parallel order: sums1[i] describes set1[i]).
-void WarmupTopKFloor(const Document& document, const FragmentSet& set1,
-                     const FragmentSet& set2,
-                     const std::vector<FragmentSummary>& sums1,
-                     const std::vector<FragmentSummary>& sums2,
-                     const std::vector<std::vector<double>>& ev1,
-                     const std::vector<std::vector<double>>& ev2,
-                     const FilterPtr& filter, const FilterContext& context,
-                     const JoinScorer& scorer, const FragmentPredicate& accept,
-                     TopKCollector* collector);
 
 /// \brief Score-bounded pairwise join — the top-k early-termination kernel.
 ///

@@ -12,11 +12,9 @@
 // fragments under the total order (score descending, canonical fragment order
 // ascending). Because the order is total and duplicates are rejected, the
 // collector's final content is a pure function of the *set* of offered
-// (fragment, score) pairs — independent of offer order. That is what makes
-// the parallel top-k kernel bit-identical across thread counts: each worker
-// prunes against its own heap (sound: a pruned pair could not enter even a
-// fuller heap), and the per-chunk survivors are re-offered into one final
-// collector at the barrier.
+// (fragment, score) pairs — independent of offer order. That is what lets a
+// seeded, warmed-up or live floor prune pairs without changing the result:
+// a pruned pair could not have entered even the fuller final heap.
 
 #ifndef XFRAG_ALGEBRA_TOPK_H_
 #define XFRAG_ALGEBRA_TOPK_H_
@@ -35,9 +33,8 @@ namespace xfrag::algebra {
 
 /// \brief Exact scorer plus a sound O(1) score upper bound for joins.
 ///
-/// Implementations must be safe to call concurrently from multiple workers
-/// (the parallel kernel shares one scorer across chunks), so Score and
-/// UpperBound must be logically const and touch only read-only state.
+/// Score and UpperBound must be logically const and touch only read-only
+/// state, so every call on the same input returns the same value.
 class JoinScorer {
  public:
   virtual ~JoinScorer() = default;
@@ -267,18 +264,6 @@ class TopKCollector {
   /// (possibly evicting the previous minimum). Candidates with score
   /// strictly below the effective floor are rejected (see SeedFloor).
   bool Offer(Fragment fragment, double score);
-
-  /// \brief Folds another collector's floor-audit counters into this one.
-  ///
-  /// The parallel kernel prunes inside per-worker private collectors; the
-  /// barrier calls this so the output collector's floor_rejections() /
-  /// FloorAuditClean() cover every chunk's rejections, not just its own.
-  void MergeFloorAudit(const TopKCollector& other) {
-    floor_rejections_ += other.floor_rejections_;
-    if (other.max_floor_rejected_ > max_floor_rejected_) {
-      max_floor_rejected_ = other.max_floor_rejected_;
-    }
-  }
 
   /// \brief Moves the retained fragments out, best first. The collector is
   /// left empty.

@@ -1,7 +1,5 @@
 #include "collection/collection_engine.h"
 
-#include <algorithm>
-#include <optional>
 #include <unordered_map>
 
 #include "common/thread_pool.h"
@@ -73,17 +71,12 @@ StatusOr<CollectionResult> CollectionEngine::Evaluate(
     if (!inserted) representative[i] = it->second;
   }
 
-  // Representatives fan out over the shared pool (one contiguous chunk per
-  // worker); each outcome lands in its own slot, so the merge below is
-  // deterministic for any parallelism.
-  ThreadPool* pool = options.thread_pool;
-  std::optional<ThreadPool> transient_pool;
-  if (pool == nullptr && std::max(1u, options.parallelism) > 1 && n > 1) {
-    transient_pool.emplace(options.parallelism);
-    pool = &*transient_pool;
-  }
-  if (pool != nullptr && n > 1) {
-    pool->ParallelFor(n, [&](unsigned /*chunk*/, size_t begin, size_t end) {
+  // Representatives fan out over a pool (one contiguous chunk per worker);
+  // each outcome lands in its own slot, so the merge below is deterministic
+  // for any parallelism.
+  if (options.parallelism > 1 && n > 1) {
+    ThreadPool pool(options.parallelism);
+    pool.ParallelFor(n, [&](unsigned /*chunk*/, size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) {
         if (representative[i] != i) continue;
         outcomes[i] =

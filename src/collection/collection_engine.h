@@ -54,11 +54,6 @@ struct CollectionEvalOptions {
   /// Worker threads; 1 evaluates sequentially. Results are merged in
   /// document order either way, so the output is deterministic.
   unsigned parallelism = 1;
-  /// Optional externally owned pool for the per-document fan-out (shared
-  /// with the query executor's pooled kernels). When null and `parallelism`
-  /// > 1, Evaluate spins up a transient pool. A non-null pool overrides
-  /// `parallelism` with its own width.
-  ThreadPool* thread_pool = nullptr;
 };
 
 /// \brief Evaluates keyword queries over every document of a collection.

@@ -1,8 +1,9 @@
 // A small fixed-size thread pool with deterministic chunked fan-out — the
-// execution substrate for the parallel algebra kernels (ops_parallel) and the
-// collection engine's per-document fan-out.
+// execution substrate for the collection engine's per-document fan-out, the
+// query service's term-disjoint batch groups, and (through Post) the HTTP
+// server's and router's worker threads.
 //
-// Design constraints (see docs/ALGEBRA.md, "Parallel kernels"):
+// Design constraints:
 //  * no work stealing: ParallelFor statically partitions [0, n) into one
 //    contiguous chunk per worker, so the assignment of indices to chunks is a
 //    pure function of (n, parallelism) and results merged in chunk order are
@@ -10,8 +11,7 @@
 //  * the calling thread participates as chunk 0, so ThreadPool(p) spawns only
 //    p − 1 OS threads and ThreadPool(1) spawns none (pure serial execution);
 //  * a thread waiting for its ParallelFor to finish helps drain the task
-//    queue, which makes nested ParallelFor calls (a parallel kernel running
-//    inside a parallel collection scan) deadlock-free.
+//    queue, which makes nested ParallelFor calls on one pool deadlock-free.
 
 #ifndef XFRAG_COMMON_THREAD_POOL_H_
 #define XFRAG_COMMON_THREAD_POOL_H_

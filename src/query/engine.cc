@@ -161,15 +161,6 @@ StatusOr<EvalResult> QueryEngine::RunPlan(
 
   result.explain = StrFormat("strategy: %s\n",
                              std::string(StrategyName(strategy_used)).c_str());
-  // Surface the Parallelism option: which kernel layer ran, and how wide.
-  unsigned parallelism =
-      options.executor.thread_pool != nullptr
-          ? options.executor.thread_pool->parallelism()
-          : options.executor.parallelism;
-  if (parallelism > 1) {
-    result.explain +=
-        StrFormat("parallelism: %u (pooled kernels)\n", parallelism);
-  }
   // Surface what the summary prefilters saved: how many candidate pairs the
   // filtered join kernels looked at, and how many they rejected in O(1)
   // without materializing the join.

@@ -1,8 +1,5 @@
 #include "query/executor.h"
 
-#include <optional>
-
-#include "algebra/ops_parallel.h"
 #include "common/logging.h"
 #include "query/batch.h"
 
@@ -110,13 +107,12 @@ StatusOr<FragmentSet> Execute(const PlanNode& node,
                                    options, context, metrics, cardinalities);
       if (!right.ok()) return right;
       if (node.filter != nullptr) {
-        return algebra::PairwiseJoinFilteredParallel(
+        return algebra::PairwiseJoinFiltered(
             document, left.value(), right.value(), node.filter, context,
-            options.thread_pool, metrics, options.subtree_classes);
+            metrics, options.subtree_classes);
       }
-      return algebra::PairwiseJoinParallel(document, left.value(),
-                                           right.value(), options.thread_pool,
-                                           metrics);
+      return algebra::PairwiseJoin(document, left.value(), right.value(),
+                                   metrics);
     }
     case PlanNodeKind::kPowersetJoin: {
       XFRAG_CHECK(node.children.size() == 2);
@@ -155,19 +151,17 @@ StatusOr<FragmentSet> Execute(const PlanNode& node,
       if (!child.ok()) return child;
       StatusOr<FragmentSet> closure = [&]() -> StatusOr<FragmentSet> {
         if (node.filter != nullptr) {
-          return algebra::FixedPointFilteredParallel(
-              document, child.value(), node.filter, context,
-              options.thread_pool, metrics, options.cancel,
-              options.subtree_classes);
+          return algebra::FixedPointFiltered(document, child.value(),
+                                             node.filter, context, metrics,
+                                             options.cancel,
+                                             options.subtree_classes);
         }
         if (node.fixed_point_reduced) {
-          return algebra::FixedPointReducedParallel(
-              document, child.value(), options.thread_pool, metrics,
-              options.cancel);
+          return algebra::FixedPointReduced(document, child.value(), metrics,
+                                            options.cancel);
         }
-        return algebra::FixedPointNaiveParallel(document, child.value(),
-                                                options.thread_pool, metrics,
-                                                options.cancel);
+        return algebra::FixedPointNaive(document, child.value(), metrics,
+                                        options.cancel);
       }();
       // A cancelled kernel returns the partial working set it had; it must
       // surface as an error, and above all must never be cached as if it
@@ -183,32 +177,10 @@ StatusOr<FragmentSet> Execute(const PlanNode& node,
       auto child = ExecuteRecorded(*node.children[0], document, index,
                                    options, context, metrics, cardinalities);
       if (!child.ok()) return child;
-      return algebra::ReduceParallel(document, child.value(),
-                                     options.thread_pool, metrics);
+      return algebra::Reduce(document, child.value(), metrics);
     }
   }
   return Status::Internal("unknown plan node kind");
-}
-
-}  // namespace
-
-namespace {
-
-// Resolves the Parallelism option: parallelism 1 (or a degenerate pool)
-// means the serial kernels; otherwise reuse the caller's pool or spin up a
-// transient one (owned by `transient_pool`) for this plan.
-ExecutorOptions ResolvePool(const ExecutorOptions& options,
-                            std::optional<ThreadPool>* transient_pool) {
-  ExecutorOptions resolved = options;
-  if (resolved.thread_pool == nullptr && resolved.parallelism > 1) {
-    transient_pool->emplace(resolved.parallelism);
-    resolved.thread_pool = &**transient_pool;
-  }
-  if (resolved.thread_pool != nullptr &&
-      resolved.thread_pool->parallelism() <= 1) {
-    resolved.thread_pool = nullptr;
-  }
-  return resolved;
 }
 
 }  // namespace
@@ -220,9 +192,7 @@ StatusOr<FragmentSet> ExecutePlan(const PlanNode& plan,
                                   OpMetrics* metrics,
                                   std::vector<NodeCardinality>* cardinalities) {
   FilterContext context{&document, &index};
-  std::optional<ThreadPool> transient_pool;
-  ExecutorOptions resolved = ResolvePool(options, &transient_pool);
-  return ExecuteRecorded(plan, document, index, resolved, context, metrics,
+  return ExecuteRecorded(plan, document, index, options, context, metrics,
                          cardinalities);
 }
 
@@ -233,8 +203,6 @@ StatusOr<std::vector<algebra::ScoredFragment>> ExecutePlanTopK(
     const algebra::FragmentPredicate& accept, OpMetrics* metrics,
     std::vector<NodeCardinality>* cardinalities) {
   FilterContext context{&document, &index};
-  std::optional<ThreadPool> transient_pool;
-  ExecutorOptions resolved = ResolvePool(options, &transient_pool);
 
   // Peel σ_residue off the root; the shape σ(A ⋈ B) gets the bounded kernel.
   const PlanNode* root = &plan;
@@ -244,16 +212,16 @@ StatusOr<std::vector<algebra::ScoredFragment>> ExecutePlanTopK(
     root = root->children[0].get();
   }
   if (root->kind == PlanNodeKind::kPairwiseJoin) {
-    auto left = ExecuteRecorded(*root->children[0], document, index, resolved,
+    auto left = ExecuteRecorded(*root->children[0], document, index, options,
                                 context, metrics, cardinalities);
     if (!left.ok()) return left.status();
-    auto right = ExecuteRecorded(*root->children[1], document, index, resolved,
+    auto right = ExecuteRecorded(*root->children[1], document, index, options,
                                  context, metrics, cardinalities);
     if (!right.ok()) return right.status();
     // The collector must only ever hold true final answers (score pruning
     // compares candidates against heap members), so the residual selection
-    // and the answer-mode condition gate admission. Evaluated inside pool
-    // workers — no metrics counting here (see header).
+    // and the answer-mode condition gate admission. Not metered (see
+    // header).
     algebra::FragmentPredicate admit;
     if (residue != nullptr || accept) {
       admit = [&residue, &accept, context](const Fragment& f) {
@@ -265,21 +233,20 @@ StatusOr<std::vector<algebra::ScoredFragment>> ExecutePlanTopK(
     algebra::FilterPtr join_filter =
         root->filter != nullptr ? root->filter : algebra::filters::True();
     algebra::TopKCollector collector(k);
-    collector.SeedFloor(resolved.score_floor);
-    collector.AttachLiveFloor(resolved.live_score_floor);
+    collector.SeedFloor(options.score_floor);
+    collector.AttachLiveFloor(options.live_score_floor);
     // The bounded kernel caches accept-verdicts too, so DAG compression is
     // only licensed when the residual selection is translation-invariant
     // (the `accept` callback is the caller's promise; see ExecutorOptions).
     const doc::SubtreeClassIndex* dag =
         (residue == nullptr || residue->TranslationInvariant())
-            ? resolved.subtree_classes
+            ? options.subtree_classes
             : nullptr;
-    algebra::PairwiseJoinTopKParallel(document, left.value(), right.value(),
-                                      join_filter, context, scorer, admit,
-                                      &collector, resolved.thread_pool, metrics,
-                                      resolved.cancel, dag);
-    if (ShouldStop(resolved.cancel)) return DeadlineError();
-    if (resolved.audit_score_floor && !collector.FloorAuditClean()) {
+    algebra::PairwiseJoinTopK(document, left.value(), right.value(),
+                              join_filter, context, scorer, admit, &collector,
+                              metrics, options.cancel, dag);
+    if (ShouldStop(options.cancel)) return DeadlineError();
+    if (options.audit_score_floor && !collector.FloorAuditClean()) {
       return Status::Internal(
           "seeded score floor pruned a top-k answer (unsound floor)");
     }
@@ -292,17 +259,17 @@ StatusOr<std::vector<algebra::ScoredFragment>> ExecutePlanTopK(
 
   // Fallback shapes (single-term fixed point, brute-force powerset join):
   // evaluate the whole plan — residual selection included — then heap-select.
-  auto full = ExecuteRecorded(plan, document, index, resolved, context,
+  auto full = ExecuteRecorded(plan, document, index, options, context,
                               metrics, cardinalities);
   if (!full.ok()) return full.status();
   algebra::TopKCollector collector(k);
-  collector.SeedFloor(resolved.score_floor);
-  collector.AttachLiveFloor(resolved.live_score_floor);
+  collector.SeedFloor(options.score_floor);
+  collector.AttachLiveFloor(options.live_score_floor);
   for (const Fragment& f : full.value()) {
     if (accept && !accept(f)) continue;
     collector.Offer(f, scorer.Score(f));
   }
-  if (resolved.audit_score_floor && !collector.FloorAuditClean()) {
+  if (options.audit_score_floor && !collector.FloorAuditClean()) {
     return Status::Internal(
         "seeded score floor pruned a top-k answer (unsound floor)");
   }

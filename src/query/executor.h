@@ -10,7 +10,6 @@
 #include "algebra/fragment_set.h"
 #include "algebra/ops.h"
 #include "common/cancel.h"
-#include "common/thread_pool.h"
 #include "query/fixed_point_cache.h"
 #include "query/plan.h"
 #include "text/inverted_index.h"
@@ -27,15 +26,6 @@ struct ExecutorOptions {
   /// fragments. The pointed-to cache must outlive the execution and must
   /// only ever be used with one (document, index) pair. Thread-safe.
   FixedPointCache* fixed_point_cache = nullptr;
-  /// Kernel parallelism for the join and fixed-point operators: 1 runs the
-  /// serial kernels; > 1 runs the pooled kernels of algebra/ops_parallel
-  /// with that many workers. Results are bit-identical either way.
-  unsigned parallelism = 1;
-  /// Optional externally owned pool to run the parallel kernels on (reused
-  /// across queries, e.g. by the collection engine). When null and
-  /// `parallelism` > 1, ExecutePlan spins up a transient pool of
-  /// `parallelism` workers for the duration of the call.
-  ThreadPool* thread_pool = nullptr;
   /// Optional per-request deadline/cancellation (owned by the caller, e.g.
   /// one token per server request). Checked before every plan node and
   /// propagated into the unbounded kernels (fixed-point loops, powerset
@@ -110,17 +100,16 @@ StatusOr<algebra::FragmentSet> ExecutePlan(
 ///
 /// When the plan root is σ_residue over a final kPairwiseJoin (the shape
 /// every fixed-point strategy produces), the children are evaluated normally
-/// and the final join runs score-bounded (PairwiseJoinTopK / the pooled
-/// variant): pairs whose score upper bound cannot beat the current k-th best
-/// answer are rejected in O(1) before any join is materialized. The residual
+/// and the final join runs score-bounded (PairwiseJoinTopK): pairs whose
+/// score upper bound cannot beat the current k-th best answer are rejected
+/// in O(1) before any join is materialized. The residual
 /// selection and `accept` are applied *before* a candidate enters the heap,
 /// so pruning is sound. Any other root shape (single-term fixed point,
 /// brute-force powerset join) falls back to full evaluation followed by
 /// heap-selection — same results, no pruning.
 ///
-/// `accept` and `scorer` may be called from pool workers and must be
-/// thread-safe. Residual filter evaluations on the bounded path are not
-/// metered (they are schedule-dependent under pruning; see ops.h).
+/// Residual filter evaluations on the bounded path are not metered (how
+/// many run depends on how far pruning got; see ops.h).
 StatusOr<std::vector<algebra::ScoredFragment>> ExecutePlanTopK(
     const PlanNode& plan, const doc::Document& document,
     const text::InvertedIndex& index, const ExecutorOptions& options,

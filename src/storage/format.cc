@@ -3,9 +3,11 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <string>
 
 namespace xfrag::storage {
 
@@ -83,8 +85,33 @@ uint64_t Checksum(std::string_view data) {
   return h;
 }
 
+namespace {
+
+// Creates a fresh sibling `<path>.tmp.<pid>.<n>` with O_EXCL, so every
+// writer — another thread or another process — gets its own inode and
+// concurrent writers to one target never share (and tear) a temp file. A
+// name left over by a crashed writer is skipped, not reused. Returns the fd,
+// or -1 with errno set.
+int CreateUniqueTemp(const std::string& path, std::string* temp) {
+  static std::atomic<uint64_t> counter{0};
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    *temp = path + ".tmp." + std::to_string(::getpid()) + "." +
+            std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
+    int fd = ::open(temp->c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
+    if (fd >= 0 || errno != EEXIST) return fd;
+  }
+  return -1;
+}
+
+}  // namespace
+
 Status WriteFileDurable(const std::string& path, std::string_view data) {
-  const std::string temp = path + ".tmp";
+  std::string temp;
+  const int fd = CreateUniqueTemp(path, &temp);
+  if (fd < 0) {
+    return Status::Internal("cannot create a temp file next to '" + path +
+                            "': " + std::strerror(errno));
+  }
   auto fail = [&temp](const std::string& what) {
     Status status =
         Status::Internal(what + " '" + temp + "': " + std::strerror(errno));
@@ -92,11 +119,6 @@ Status WriteFileDurable(const std::string& path, std::string_view data) {
     return status;
   };
 
-  int fd = ::open(temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status::Internal("cannot open '" + temp +
-                            "' for writing: " + std::strerror(errno));
-  }
   size_t written = 0;
   while (written < data.size()) {
     ssize_t n = ::write(fd, data.data() + written, data.size() - written);

@@ -57,11 +57,12 @@ class Reader {
 uint64_t Checksum(std::string_view data);
 
 /// \brief Atomically and durably replaces `path` with `data`: writes a
-/// sibling temp file, fsyncs it, renames it over `path`, then fsyncs the
-/// parent directory so the rename survives power loss. Without the fsyncs
-/// the rename can legally land with empty or partial contents after a
-/// crash, destroying the previously-good file at `path`. On failure the
-/// temp file is removed and `path` is untouched.
+/// uniquely named sibling temp file, fsyncs it, renames it over `path`, then
+/// fsyncs the parent directory so the rename survives power loss. Without
+/// the fsyncs the rename can legally land with empty or partial contents
+/// after a crash, destroying the previously-good file at `path`. Concurrent
+/// writers to one `path` each publish a complete file; the last rename
+/// wins. On failure the temp file is removed and `path` is untouched.
 Status WriteFileDurable(const std::string& path, std::string_view data);
 
 }  // namespace xfrag::storage

@@ -1,9 +1,10 @@
 // The DAG-compression contract (docs/ALGEBRA.md, "DAG-compressed
 // evaluation"): for every corpus — duplicated or not — the class-aware
 // kernels return results bit-identical to the baseline and accumulate
-// exactly the same *logical* OpMetrics, across strategies, thread counts
-// {1, 2, 4, 8}, top-k values, and tie-heavy (heavily duplicated) inputs.
-// Property-tested over seeded stamped corpora (gen::StampDuplicateSubtrees).
+// exactly the same *logical* OpMetrics, across strategies, top-k values,
+// and tie-heavy (heavily duplicated) inputs.
+// Property-tested over seeded stamped corpora (gen::StampDuplicateSubtrees),
+// with the summary prefilter both on and off.
 // Runs under ASan and TSan via `ctest -L parallel` (scripts/check.sh).
 
 #include <gtest/gtest.h>
@@ -12,8 +13,6 @@
 #include <tuple>
 
 #include "algebra/ops.h"
-#include "algebra/ops_parallel.h"
-#include "common/thread_pool.h"
 #include "doc/subtree_classes.h"
 #include "gen/corpus.h"
 #include "query/engine.h"
@@ -26,6 +25,15 @@ namespace {
 struct DagSwitchGuard {
   explicit DagSwitchGuard(bool enabled) { SetDagCompressionEnabled(enabled); }
   ~DagSwitchGuard() { SetDagCompressionEnabled(true); }
+};
+
+// Same for the summary-prefilter switch: replay must reproduce the kernels'
+// results and logical counters on both the prefiltered and the plain path.
+struct PrefilterSwitchGuard {
+  explicit PrefilterSwitchGuard(bool enabled) {
+    SetSummaryPrefilterEnabled(enabled);
+  }
+  ~PrefilterSwitchGuard() { SetSummaryPrefilterEnabled(true); }
 };
 
 // A stamped corpus with its subtree-class index and the two keywords'
@@ -94,8 +102,8 @@ void ExpectIdenticalSets(const FragmentSet& baseline, const FragmentSet& dag) {
 
 // Every logical counter must be invariant under compression — replays
 // advance them by the exact deltas of the evaluation they avoided. The dag
-// counters themselves (and the other physical ones) are schedule- and
-// mode-dependent by design, which operator== already encodes.
+// counters themselves (and the other physical ones) are mode-dependent by
+// design, which operator== already encodes.
 void ExpectInvariantLogicalMetrics(const OpMetrics& baseline,
                                    const OpMetrics& dag) {
   EXPECT_EQ(baseline.fragment_joins, dag.fragment_joins);
@@ -108,13 +116,21 @@ void ExpectInvariantLogicalMetrics(const OpMetrics& baseline,
   EXPECT_TRUE(baseline == dag);
 }
 
-// (seed, duplication rate, thread count).
+// (seed, duplication rate, summary prefilter on).
 class DagEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<uint64_t, double, unsigned>> {
+    : public ::testing::TestWithParam<std::tuple<uint64_t, double, bool>> {
  protected:
+  void SetUp() override {
+    prefilter_ = std::make_unique<PrefilterSwitchGuard>(prefilter());
+  }
+  void TearDown() override { prefilter_.reset(); }
+
   uint64_t seed() const { return std::get<0>(GetParam()); }
   double duplication() const { return std::get<1>(GetParam()); }
-  unsigned threads() const { return std::get<2>(GetParam()); }
+  bool prefilter() const { return std::get<2>(GetParam()); }
+
+ private:
+  std::unique_ptr<PrefilterSwitchGuard> prefilter_;
 };
 
 TEST_P(DagEquivalenceTest, PairwiseJoinFiltered) {
@@ -122,21 +138,18 @@ TEST_P(DagEquivalenceTest, PairwiseJoinFiltered) {
   DagSwitchGuard guard(true);
   FilterPtr filter = filters::SizeAtMost(5);
   FilterContext context{input.document.get(), input.index.get()};
-  OpMetrics baseline_metrics, serial_metrics, parallel_metrics;
+  OpMetrics baseline_metrics, serial_metrics;
   FragmentSet baseline =
       PairwiseJoinFiltered(*input.document, input.set1, input.set2, filter,
                            context, &baseline_metrics, /*dag=*/nullptr);
   FragmentSet serial_dag =
       PairwiseJoinFiltered(*input.document, input.set1, input.set2, filter,
                            context, &serial_metrics, input.classes.get());
-  ThreadPool pool(threads());
-  FragmentSet parallel_dag = PairwiseJoinFilteredParallel(
-      *input.document, input.set1, input.set2, filter, context, &pool,
-      &parallel_metrics, input.classes.get());
   ExpectIdenticalSets(baseline, serial_dag);
-  ExpectIdenticalSets(baseline, parallel_dag);
   ExpectInvariantLogicalMetrics(baseline_metrics, serial_metrics);
-  ExpectInvariantLogicalMetrics(baseline_metrics, parallel_metrics);
+  if (!prefilter()) {
+    EXPECT_EQ(serial_metrics.pairs_rejected_summary, 0u);
+  }
 }
 
 TEST_P(DagEquivalenceTest, SelectAndFixedPointFiltered) {
@@ -153,21 +166,15 @@ TEST_P(DagEquivalenceTest, SelectAndFixedPointFiltered) {
   ExpectIdenticalSets(selected_base, selected_dag);
   ExpectInvariantLogicalMetrics(select_base, select_dag);
 
-  OpMetrics fp_base, fp_serial, fp_parallel;
+  OpMetrics fp_base, fp_serial;
   FragmentSet fixed_base =
       FixedPointFiltered(*input.document, input.set1, filter, context,
                          &fp_base, /*cancel=*/nullptr, /*dag=*/nullptr);
   FragmentSet fixed_serial =
       FixedPointFiltered(*input.document, input.set1, filter, context,
                          &fp_serial, /*cancel=*/nullptr, input.classes.get());
-  ThreadPool pool(threads());
-  FragmentSet fixed_parallel = FixedPointFilteredParallel(
-      *input.document, input.set1, filter, context, &pool, &fp_parallel,
-      /*cancel=*/nullptr, input.classes.get());
   ExpectIdenticalSets(fixed_base, fixed_serial);
-  ExpectIdenticalSets(fixed_base, fixed_parallel);
   ExpectInvariantLogicalMetrics(fp_base, fp_serial);
-  ExpectInvariantLogicalMetrics(fp_base, fp_parallel);
 }
 
 TEST_P(DagEquivalenceTest, TopKBitIdenticalAcrossKValues) {
@@ -177,7 +184,6 @@ TEST_P(DagEquivalenceTest, TopKBitIdenticalAcrossKValues) {
   FilterContext context{input.document.get(), input.index.get()};
   query::AnswerScorer scorer({"kwone", "kwtwo"}, *input.document,
                              *input.index);
-  ThreadPool pool(threads());
   // Heavily duplicated corpora are tie-heavy by construction (isomorphic
   // copies score identically), so small k exercises the deterministic
   // tie-break under replay.
@@ -190,25 +196,14 @@ TEST_P(DagEquivalenceTest, TopKBitIdenticalAcrossKValues) {
     PairwiseJoinTopK(*input.document, input.set1, input.set2, filter, context,
                      scorer, {}, &serial_collector, /*metrics=*/nullptr,
                      /*cancel=*/nullptr, input.classes.get());
-    TopKCollector parallel_collector(k);
-    PairwiseJoinTopKParallel(*input.document, input.set1, input.set2, filter,
-                             context, scorer, {}, &parallel_collector, &pool,
-                             /*metrics=*/nullptr, /*cancel=*/nullptr,
-                             input.classes.get());
     auto baseline = baseline_collector.TakeSorted();
     auto serial = serial_collector.TakeSorted();
-    auto parallel = parallel_collector.TakeSorted();
     ASSERT_EQ(baseline.size(), serial.size()) << "k=" << k;
-    ASSERT_EQ(baseline.size(), parallel.size()) << "k=" << k;
     for (size_t i = 0; i < baseline.size(); ++i) {
       // Bit-identical: same fragments, same doubles, same order.
       ASSERT_EQ(baseline[i].fragment, serial[i].fragment)
           << "k=" << k << " position " << i;
       ASSERT_EQ(baseline[i].score, serial[i].score)
-          << "k=" << k << " position " << i;
-      ASSERT_EQ(baseline[i].fragment, parallel[i].fragment)
-          << "k=" << k << " position " << i;
-      ASSERT_EQ(baseline[i].score, parallel[i].score)
           << "k=" << k << " position " << i;
     }
   }
@@ -258,19 +253,17 @@ TEST_P(DagEquivalenceTest, EngineBitIdenticalAcrossStrategiesAndSwitch) {
   for (query::Strategy strategy :
        {query::Strategy::kFixedPointNaive, query::Strategy::kFixedPointReduced,
         query::Strategy::kPushDown}) {
-    query::EvalOptions off_options;
-    off_options.strategy = strategy;
-    off_options.executor.subtree_classes = input.classes.get();
+    query::EvalOptions options;
+    options.strategy = strategy;
+    options.executor.subtree_classes = input.classes.get();
     StatusOr<query::EvalResult> off = [&] {
       DagSwitchGuard guard(false);
-      return engine.Evaluate(q, off_options);
+      return engine.Evaluate(q, options);
     }();
     ASSERT_TRUE(off.ok()) << off.status().ToString();
 
     DagSwitchGuard guard(true);
-    query::EvalOptions on_options = off_options;
-    on_options.executor.parallelism = threads();
-    auto on = engine.Evaluate(q, on_options);
+    auto on = engine.Evaluate(q, options);
     ASSERT_TRUE(on.ok()) << on.status().ToString();
     ExpectIdenticalSets(off->answers, on->answers);
     ExpectInvariantLogicalMetrics(off->metrics, on->metrics);
@@ -279,11 +272,11 @@ TEST_P(DagEquivalenceTest, EngineBitIdenticalAcrossStrategiesAndSwitch) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    SeedsByDuplicationByThreads, DagEquivalenceTest,
+    SeedsByDuplicationByPrefilter, DagEquivalenceTest,
     ::testing::Combine(::testing::Values(uint64_t{51}, uint64_t{52},
-                                         uint64_t{53}),
-                       ::testing::Values(0.5, 0.9),
-                       ::testing::Values(1u, 2u, 4u, 8u)));
+                                         uint64_t{53}, uint64_t{54},
+                                         uint64_t{55}, uint64_t{56}),
+                       ::testing::Values(0.5, 0.9), ::testing::Bool()));
 
 // The replay path must actually engage on a duplicated corpus — otherwise
 // the equivalence assertions above would pass vacuously.

@@ -5,7 +5,6 @@
 #include <algorithm>
 
 #include "../testutil.h"
-#include "algebra/fragment_pool.h"
 #include "algebra/fragment_set.h"
 
 namespace xfrag::algebra {
@@ -141,8 +140,8 @@ TEST(FragmentSummaryTest, MatchesBruteForceScan) {
   }
 }
 
-// The hash is computed once at construction; FragmentSet dedup and
-// FragmentPool interning must reuse it instead of rescanning nodes.
+// The hash is computed once at construction; FragmentSet dedup must reuse
+// it instead of rescanning nodes.
 TEST(FragmentHashTest, InterningDoesNotRecomputeHashes) {
   doc::Document d = Fixture();
   std::vector<Fragment> frags;
@@ -155,9 +154,6 @@ TEST(FragmentHashTest, InterningDoesNotRecomputeHashes) {
   FragmentSet set;
   for (const Fragment& f : frags) set.Insert(f);
   EXPECT_EQ(set.size(), 3u);
-  FragmentPool pool;
-  for (const Fragment& f : set) pool.Intern(f);
-  InternSet(&pool, set);
   // Copies share the precomputed hash; no node vector was rescanned.
   EXPECT_EQ(Fragment::HashComputationsForTest(), before);
 }

@@ -3,16 +3,13 @@
 // deterministic metrics) identical to the unoptimized kernels — the O(1)
 // bounds only ever skip work whose outcome is already decided. Exercised at
 // the boundaries (size<=0, size<=1, height<=0, a filter exactly at the join's
-// size lower bound) and property-style over random corpora, for the serial
-// and the pooled kernels at every thread count. Runs under `ctest -L
-// parallel` (see XFRAG_SANITIZE).
+// size lower bound) and property-style over random corpora. Runs under
+// `ctest -L parallel` (see XFRAG_SANITIZE).
 
 #include <gtest/gtest.h>
 
 #include "../testutil.h"
 #include "algebra/ops.h"
-#include "algebra/ops_parallel.h"
-#include "common/thread_pool.h"
 
 namespace xfrag::algebra {
 namespace {
@@ -196,10 +193,9 @@ TEST(PrefilterBoundaryTest, FilterExactlyAtJoinLowerBound) {
   EXPECT_EQ(below_metrics.filter_evals, at_metrics.filter_evals);
 }
 
-// Property: prefilter on/off and serial/pooled all agree — same fragments,
-// same insertion order, same deterministic metrics — across corpora, filters
-// and thread counts.
-TEST(PrefilterEquivalenceTest, OnOffAndPooledAgree) {
+// Property: prefilter on and off agree — same fragments, same insertion
+// order, same deterministic metrics — across corpora and filters.
+TEST(PrefilterEquivalenceTest, OnOffAgree) {
   for (uint64_t seed : {101ull, 102ull, 103ull}) {
     doc::Document d = RandomTree(300, 3, seed);
     Rng rng(seed ^ 0xf00d);
@@ -244,22 +240,12 @@ TEST(PrefilterEquivalenceTest, OnOffAndPooledAgree) {
       EXPECT_EQ(off_metrics.fragments_produced, on_metrics.fragments_produced);
       EXPECT_EQ(off_metrics.pairs_considered, on_metrics.pairs_considered);
       EXPECT_EQ(off_metrics.pairs_rejected_summary, 0u);
-      for (unsigned threads : {1u, 2u, 4u, 8u}) {
-        ThreadPool pool(threads);
-        OpMetrics pooled_metrics;
-        FragmentSet pooled = PairwiseJoinFilteredParallel(
-            d, set1, set2, filter, context, &pool, &pooled_metrics);
-        ExpectIdenticalSets(on, pooled);
-        EXPECT_TRUE(on_metrics == pooled_metrics)
-            << "metrics divergence at " << filter->ToString() << " threads "
-            << threads;
-      }
     }
   }
 }
 
 // Reduce: the interval/size candidate index must not change the reduced set,
-// serial or pooled, and must actually skip subsumption checks on clustered
+// and must actually skip subsumption checks on clustered
 // inputs (where eliminations are plentiful).
 TEST(PrefilterEquivalenceTest, ReduceIndexAgrees) {
   for (uint64_t seed : {7ull, 8ull}) {
@@ -283,13 +269,6 @@ TEST(PrefilterEquivalenceTest, ReduceIndexAgrees) {
     ExpectIdenticalSets(off, on);
     EXPECT_TRUE(off_metrics == on_metrics);  // Excludes the skip counter.
     EXPECT_GT(on_metrics.subsume_checks_skipped, 0u);
-    for (unsigned threads : {2u, 4u, 8u}) {
-      ThreadPool pool(threads);
-      OpMetrics pooled_metrics;
-      FragmentSet pooled = ReduceParallel(d, set, &pool, &pooled_metrics);
-      ExpectIdenticalSets(on, pooled);
-      EXPECT_TRUE(on_metrics == pooled_metrics);
-    }
   }
 }
 

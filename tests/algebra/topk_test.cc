@@ -366,23 +366,5 @@ TEST(SeededFloorTest, LiveFloorRaisesPruningMidStream) {
   EXPECT_EQ(sorted[1].fragment, Single(3));
 }
 
-TEST(SeededFloorTest, MergeFloorAuditCarriesChunkRejections) {
-  // Parallel chunks audit locally; the barrier folds their counters into
-  // the shared collector so FloorAuditClean() sees the whole document.
-  TopKCollector parent(1);
-  parent.SeedFloor(5.0);
-  TopKCollector chunk(1);
-  chunk.SeedFloor(5.0);
-  EXPECT_FALSE(chunk.Offer(Single(1), 4.0));  // lossy in the chunk
-  EXPECT_FALSE(chunk.FloorAuditClean());
-  parent.MergeFloorAudit(chunk);
-  EXPECT_GT(parent.floor_rejections(), 0u);
-  EXPECT_FALSE(parent.FloorAuditClean());
-  // Once the parent retains an answer outranking every rejection, the merged
-  // audit is clean again: nothing in the final top-k was lost.
-  EXPECT_TRUE(parent.Offer(Single(2), 6.0));
-  EXPECT_TRUE(parent.FloorAuditClean());
-}
-
 }  // namespace
 }  // namespace xfrag::algebra

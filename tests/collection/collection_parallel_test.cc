@@ -1,14 +1,11 @@
-// Collection evaluation on the shared thread pool: answers, metrics, and
-// provenance are identical for every parallelism, an external pool can be
-// reused across evaluations (and shared with the per-document kernels), and
-// nested parallelism (documents × kernels on one pool) stays correct.
+// Collection evaluation fanned out over a thread pool: answers, metrics, and
+// provenance are identical for every parallelism.
 
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "collection/collection_engine.h"
-#include "common/thread_pool.h"
 #include "gen/corpus.h"
 
 namespace xfrag::collection {
@@ -66,42 +63,6 @@ TEST(CollectionParallelTest, ResultsIdenticalAcrossParallelism) {
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ExpectSameResults(*reference, *result);
   }
-}
-
-TEST(CollectionParallelTest, ExternalPoolIsReusedAcrossEvaluations) {
-  Collection collection = MakeGeneratedCollection(6, 61);
-  CollectionEngine engine(collection);
-  ThreadPool pool(4);
-  query::Query q;
-  q.terms = {"kwone", "kwtwo"};
-  CollectionEvalOptions options;
-  options.thread_pool = &pool;
-  auto first = engine.Evaluate(q, options);
-  auto second = engine.Evaluate(q, options);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  ExpectSameResults(*first, *second);
-}
-
-TEST(CollectionParallelTest, NestedDocumentAndKernelParallelismOnOnePool) {
-  // Per-document fan-out and the per-query pooled kernels share the same
-  // pool: a chunk body issues nested ParallelFor calls. Must neither
-  // deadlock nor change any output.
-  Collection collection = MakeGeneratedCollection(5, 71);
-  CollectionEngine engine(collection);
-  query::Query q;
-  q.terms = {"kwone", "kwtwo"};
-
-  auto reference = engine.Evaluate(q, {});
-  ASSERT_TRUE(reference.ok());
-
-  ThreadPool pool(3);
-  CollectionEvalOptions nested;
-  nested.thread_pool = &pool;
-  nested.per_document.executor.thread_pool = &pool;
-  auto result = engine.Evaluate(q, nested);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ExpectSameResults(*reference, *result);
 }
 
 }  // namespace

@@ -126,7 +126,7 @@ TEST(ThreadPoolTest, ConcurrentCallersShareOnePool) {
 }
 
 TEST(ThreadPoolTest, PerChunkAccumulatorsMergeToSerialTotal) {
-  // The merged-at-the-barrier pattern the parallel kernels rely on.
+  // The merged-at-the-barrier pattern the collection fan-out relies on.
   const size_t n = 100000;
   uint64_t serial = 0;
   for (size_t i = 0; i < n; ++i) serial += i * i;

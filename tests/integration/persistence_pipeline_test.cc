@@ -5,6 +5,7 @@
 
 #include <cstdio>
 
+#include "../testutil.h"
 #include "collection/collection_engine.h"
 #include "gen/corpus.h"
 #include "query/engine.h"
@@ -48,7 +49,7 @@ TEST(PersistencePipelineTest, AnswersSurviveEveryRepresentation) {
   EXPECT_TRUE(parsed_result->answers.SetEquals(direct_result->answers));
 
   // Path C: through a persisted bundle.
-  std::string path = ::testing::TempDir() + "/xfrag_pipeline_test.xdb";
+  std::string path = testutil::ProcessTempDir() + "/xfrag_pipeline_test.xdb";
   ASSERT_TRUE(storage::SaveBundleToFile(path, *direct, &direct_index).ok());
   auto bundle = storage::LoadBundleFromFile(path);
   ASSERT_TRUE(bundle.ok());

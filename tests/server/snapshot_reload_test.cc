@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "../testutil.h"
 #include "common/json.h"
 #include "common/strings.h"
 #include "server/http.h"
@@ -44,8 +45,8 @@ constexpr const char* kDocB = R"(
 class SnapshotReloadTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    snap_a_ = ::testing::TempDir() + "/reload_a.snap";
-    snap_b_ = ::testing::TempDir() + "/reload_b.snap";
+    snap_a_ = testutil::ProcessTempDir() + "/reload_a.snap";
+    snap_b_ = testutil::ProcessTempDir() + "/reload_b.snap";
     collection::Collection one;
     ASSERT_TRUE(one.AddXml("a.xml", kDocA).ok());
     ASSERT_TRUE(

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "../testutil.h"
 #include "collection/collection.h"
 #include "common/json.h"
 #include "gen/corpus.h"
@@ -72,7 +73,7 @@ class SnapshotEquivalenceTest : public ::testing::Test {
     ASSERT_TRUE(document.ok());
     ASSERT_TRUE(in_memory_->Add("gen.xml", std::move(*document)).ok());
 
-    path_ = new std::string(::testing::TempDir() + "/equivalence.snap");
+    path_ = new std::string(testutil::ProcessTempDir() + "/equivalence.snap");
     auto written =
         WriteSnapshot(*in_memory_, text::IndexOptions{}, *path_);
     ASSERT_TRUE(written.ok()) << written.ToString();

@@ -2,18 +2,24 @@
 // fidelity, and the adversarial-input surface — truncation at every layer,
 // bit flips over the whole file (superblock, TOC, and every section), and
 // structurally invalid columns whose checksums have been made consistent
-// again, which only the structural validation pass can catch.
+// again, which only the structural validation pass can catch — plus
+// concurrent writers to one path.
 
 #include "storage/snapshot.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "../testutil.h"
 #include "collection/collection.h"
 #include "gen/corpus.h"
 #include "gen/paper_document.h"
@@ -43,7 +49,7 @@ constexpr const char* kDocB = R"(
   </book>)";
 
 std::string TestPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return testutil::ProcessTempDir() + "/" + name;
 }
 
 /// A small mixed collection: two XML documents (kDocB has duplicate
@@ -409,6 +415,83 @@ TEST(SnapshotTest, RandomBitFlipsNeverCrashValidatedLoad) {
     }
   }
   std::remove(mutated_path.c_str());
+}
+
+// Several writers publish different snapshots to one path at once while a
+// reader keeps opening it. Every file a reader or the final state ever sees
+// must be one writer's complete snapshot, byte for byte: a temp file shared
+// between writers would publish torn bytes, or make a writer's rename fail.
+// No temp file may survive.
+TEST(SnapshotTest, ConcurrentWritersPublishOnlyCompleteSnapshots) {
+  constexpr int kWriters = 4;
+  constexpr int kRounds = 12;
+  std::vector<collection::Collection> collections;
+  std::vector<std::string> expected;
+  for (int w = 0; w < kWriters; ++w) {
+    collection::Collection collection;
+    gen::CorpusProfile profile;
+    profile.target_nodes = 1500 + 400 * static_cast<size_t>(w);
+    profile.seed = 40 + static_cast<uint64_t>(w);
+    auto document = gen::Materialize(gen::GenerateRaw(profile));
+    ASSERT_TRUE(document.ok());
+    ASSERT_TRUE(
+        collection.Add("writer" + std::to_string(w), std::move(*document))
+            .ok());
+    expected.push_back(ReadWholeFile(WriteTestSnapshot(
+        collection, "writer" + std::to_string(w) + ".snap")));
+    collections.push_back(std::move(collection));
+  }
+  const std::string target = WriteTestSnapshot(collections[0], "shared.snap");
+
+  auto matches_a_writer = [&expected](const std::string& bytes) {
+    return std::find(expected.begin(), expected.end(), bytes) !=
+           expected.end();
+  };
+  std::atomic<int> ready{0};
+  std::atomic<bool> done{false};
+  std::atomic<int> write_failures{0};
+  std::atomic<int> torn_reads{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      ready.fetch_add(1);
+      while (ready.load() < kWriters + 1) std::this_thread::yield();
+      for (int round = 0; round < kRounds; ++round) {
+        if (!WriteSnapshot(collections[w], text::IndexOptions{}, target)
+                 .ok()) {
+          write_failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    ready.fetch_add(1);
+    while (ready.load() < kWriters + 1) std::this_thread::yield();
+    while (!done.load()) {
+      auto reader = SnapshotReader::Open(target);
+      if (!reader.ok() || !(*reader)->VerifyChecksums().ok() ||
+          !matches_a_writer(ReadWholeFile(target))) {
+        torn_reads.fetch_add(1);
+      }
+    }
+  });
+  for (int w = 0; w < kWriters; ++w) threads[static_cast<size_t>(w)].join();
+  done.store(true);
+  threads.back().join();
+
+  EXPECT_EQ(write_failures.load(), 0);
+  EXPECT_EQ(torn_reads.load(), 0);
+  auto reader = SnapshotReader::Open(target);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  EXPECT_TRUE((*reader)->VerifyChecksums().ok());
+  EXPECT_TRUE(LoadCollectionFromSnapshot(target).ok());
+  EXPECT_TRUE(matches_a_writer(ReadWholeFile(target)));
+  for (const auto& entry :
+       std::filesystem::directory_iterator(testutil::ProcessTempDir())) {
+    EXPECT_EQ(entry.path().filename().string().find(".tmp"),
+              std::string::npos)
+        << "temp file left behind: " << entry.path();
+  }
 }
 
 class SnapshotStructuralAttackTest : public ::testing::Test {

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include "../testutil.h"
@@ -209,7 +210,7 @@ TEST(BundleTest, FileRoundTrip) {
   auto document = gen::BuildPaperDocument();
   ASSERT_TRUE(document.ok());
   auto index = text::InvertedIndex::Build(*document);
-  std::string path = ::testing::TempDir() + "/xfrag_bundle_test.xdb";
+  std::string path = testutil::ProcessTempDir() + "/xfrag_bundle_test.xdb";
   ASSERT_TRUE(SaveBundleToFile(path, *document, &index).ok());
   auto bundle = LoadBundleFromFile(path);
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
@@ -219,7 +220,7 @@ TEST(BundleTest, FileRoundTrip) {
 }
 
 TEST(BundleTest, LoadErrorNamesThePath) {
-  std::string path = ::testing::TempDir() + "/xfrag_bundle_corrupt.xdb";
+  std::string path = testutil::ProcessTempDir() + "/xfrag_bundle_corrupt.xdb";
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << "XFRAGDB1 but then garbage";
@@ -236,15 +237,18 @@ TEST(BundleTest, FailedSaveLeavesNoTempFile) {
   ASSERT_TRUE(document.ok());
   // Target an occupied directory: the temp file writes fine but the final
   // rename must fail, and the temp must be cleaned up afterwards.
-  std::string dir = ::testing::TempDir() + "/xfrag_save_target_dir";
+  std::string dir = testutil::ProcessTempDir() + "/xfrag_save_target_dir";
   ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
   std::string inner = dir + "/occupant";
   { std::ofstream out(inner); out << "x"; }
   auto saved = SaveBundleToFile(dir, *document, nullptr);
   EXPECT_FALSE(saved.ok());
-  struct ::stat st{};
-  EXPECT_NE(::stat((dir + ".tmp").c_str(), &st), 0)
-      << "temp file survived a failed save";
+  for (const auto& entry :
+       std::filesystem::directory_iterator(testutil::ProcessTempDir())) {
+    EXPECT_EQ(entry.path().filename().string().find(".tmp"),
+              std::string::npos)
+        << "temp file survived a failed save: " << entry.path();
+  }
   std::remove(inner.c_str());
   ::rmdir(dir.c_str());
 }

@@ -4,8 +4,11 @@
 #define XFRAG_TESTS_TESTUTIL_H_
 
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "algebra/fragment.h"
@@ -14,6 +17,31 @@
 #include "doc/document.h"
 
 namespace xfrag::testutil {
+
+/// A directory under ::testing::TempDir() unique to this process (mkdtemp),
+/// created on first use and removed with its contents at exit. ctest runs
+/// every test case as its own process, so paths built from it never collide
+/// between concurrently running tests.
+inline const std::string& ProcessTempDir() {
+  struct Dir {
+    std::string path;
+    bool created = false;
+    Dir() {
+      std::string pattern = ::testing::TempDir();
+      if (pattern.empty() || pattern.back() != '/') pattern += '/';
+      pattern += "xfrag_test_XXXXXX";
+      created = ::mkdtemp(pattern.data()) != nullptr;
+      path = created ? pattern : ::testing::TempDir();
+      if (!created) ADD_FAILURE() << "mkdtemp failed for " << pattern;
+    }
+    ~Dir() {
+      std::error_code ignored;
+      if (created) std::filesystem::remove_all(path, ignored);
+    }
+  };
+  static const Dir dir;
+  return dir.path;
+}
 
 /// Builds a document from a parent array; tags default to "n", texts empty.
 inline doc::Document TreeFromParents(std::vector<doc::NodeId> parents) {
