@@ -5,25 +5,25 @@
 // sits behind a flaky TCP proxy that randomly stalls connections, showing
 // what the single bounded hedge buys at the tail versus no hedging.
 //
-// Top-k runs twice per shard count: with the two-phase bound exchange
-// ("topk10", the default) and without ("topk10-noexchange", the plain
-// scatter that enumerates each shard's full bounded join) — the ablation
-// that motivates distributed top-k (docs/SERVING.md). Every row posts its
-// query once more after the measured run and asserts the router's response
-// is byte-identical (modulo "elapsed_ms" and the work "metrics") to a
-// combined single node holding the whole corpus, so a throughput number can
-// never come from a wrong answer; the assertion also runs in smoke mode
-// (XFRAG_BENCH_SMOKE=1, scripts/check.sh).
+// Top-k is one scatter and an exact k-way merge of the shards' local top-k
+// lists (docs/SERVING.md). Every scaling row posts its query once more after
+// the measured run and asserts the router's response is byte-identical
+// (modulo "elapsed_ms" and the work "metrics") to a combined single node
+// holding the whole corpus, so a throughput number can never come from a
+// wrong answer; the assertion also runs in smoke mode (XFRAG_BENCH_SMOKE=1,
+// scripts/check.sh).
 //
 //   ./bench_router [requests_per_client] [total_nodes]
 //
-// Emits BENCH_router.json:
+// Emits BENCH_router.json, one object per row:
 //   [{"shards": 2, "mode": "topk10", "clients": 8, "requests": 256,
 //     "throughput_rps": ..., "latency_ms": {...}, "ok": 256,
 //     "hedging": false, "hedges_launched": 0, "hedges_won": 0,
-//     "bound_exchange": true, "exact": true,
-//     "distributed_topk": {"bounds_pushed": ..., "probe_latency_us": {...},
-//                          "refine_latency_us": {...}, ...}}, ...]
+//     "exact": true, "pairs_rejected_score": ...,
+//     "provenance": {"commit": ..., "build_type": ..., "cores": ...,
+//                    "smoke": false}}, ...]
+// The commit is `git describe --always --dirty` in the working directory (a
+// "-dirty" suffix marks uncommitted changes), or "unknown" outside git.
 
 #include <sys/socket.h>
 
@@ -319,21 +319,35 @@ bool AssertExactAgainstCombined(uint16_t router_port, uint16_t combined_port,
   return true;
 }
 
-/// The "distributed_topk" section of the router's /metrics — bound-exchange
-/// counters plus per-phase probe/refine/update latency histograms.
-xfrag::json::Value RouterDistributedTopKMetrics(uint16_t port) {
-  std::string request =
-      "GET /metrics HTTP/1.1\r\nHost: b\r\nConnection: close\r\n\r\n";
-  auto raw = xfrag::server::HttpRoundTrip("127.0.0.1", port, request);
-  if (!raw.ok()) return xfrag::json::Value::Object();
-  auto response = xfrag::server::ParseHttpResponse(*raw);
-  if (!response.ok()) return xfrag::json::Value::Object();
-  auto parsed = xfrag::json::Parse(response->body);
-  if (!parsed.ok()) return xfrag::json::Value::Object();
-  const xfrag::json::Value* router_section = parsed->Find("router");
-  if (router_section == nullptr) return xfrag::json::Value::Object();
-  const xfrag::json::Value* topk = router_section->Find("distributed_topk");
-  return topk != nullptr ? *topk : xfrag::json::Value::Object();
+#ifndef XFRAG_BENCH_BUILD_TYPE
+#define XFRAG_BENCH_BUILD_TYPE "unknown"
+#endif
+
+/// The commit the binary measures (see the header comment).
+std::string CommitId() {
+  std::string commit;
+  if (FILE* git = ::popen("git describe --always --dirty --abbrev=40 "
+                          "2>/dev/null",
+                          "r")) {
+    char buf[64];
+    while (std::fgets(buf, sizeof(buf), git) != nullptr) commit += buf;
+    ::pclose(git);
+  }
+  while (!commit.empty() && (commit.back() == '\n' || commit.back() == '\r')) {
+    commit.pop_back();
+  }
+  return commit.empty() ? "unknown" : commit;
+}
+
+/// The provenance block every row carries.
+xfrag::json::Value ProvenanceJson() {
+  xfrag::json::Value provenance = xfrag::json::Value::Object();
+  provenance.Set("commit", CommitId());
+  provenance.Set("build_type", XFRAG_BENCH_BUILD_TYPE);
+  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  provenance.Set("cores", static_cast<uint64_t>(cores));
+  provenance.Set("smoke", xfrag::bench::BenchSmokeMode());
+  return provenance;
 }
 
 }  // namespace
@@ -362,10 +376,11 @@ int main(int argc, char** argv) {
                       "ok"});
   xfrag::json::Value records = xfrag::json::Value::Array();
 
+  const xfrag::json::Value provenance = ProvenanceJson();
+
   // ---- Throughput scaling: 1 / 2 / 4 shards ------------------------------
-  // Modes per shard count: full scatter, top-k with the two-phase bound
-  // exchange (the default), and top-k with the exchange ablated. Every row
-  // is exactness-checked against this combined single node.
+  // Modes per shard count: full scatter and top-k. Every row is
+  // exactness-checked against this combined single node.
   auto combined_collections = BuildShards(1, nodes_per_doc);
   xfrag::server::ServerOptions combined_options;
   combined_options.workers = 4;
@@ -384,13 +399,11 @@ int main(int argc, char** argv) {
   struct ScalingMode {
     const char* name;
     const std::string* body;
-    bool bound_exchange;
     bool is_topk;
   };
   const ScalingMode modes[] = {
-      {"full", &full_body, true, false},
-      {"topk10", &topk_body, true, true},
-      {"topk10-noexchange", &topk_body, false, true},
+      {"full", &full_body, false},
+      {"topk10", &topk_body, true},
   };
 
   for (size_t shard_count : {1u, 2u, 4u}) {
@@ -417,7 +430,6 @@ int main(int argc, char** argv) {
       router_options.queue_capacity = 1024;
       router_options.enable_hedging = false;  // scaling rows measure fan-out
       router_options.health_check_interval_ms = 0;
-      router_options.enable_bound_exchange = mode.bound_exchange;
       xfrag::router::Router router(MapForPorts(ports, kDocs / shard_count),
                                    router_options);
       auto started = router.Start();
@@ -460,12 +472,11 @@ int main(int argc, char** argv) {
       record.Set("hedging", false);
       record.Set("hedges_launched", router.hedges_launched());
       record.Set("hedges_won", router.hedges_won());
-      record.Set("bound_exchange", mode.bound_exchange);
       record.Set("exact", exact);
       if (mode.is_topk) {
-        record.Set("distributed_topk",
-                   RouterDistributedTopKMetrics(router.port()));
+        record.Set("pairs_rejected_score", router.topk_pairs_rejected());
       }
+      record.Set("provenance", provenance);
       records.Append(std::move(record));
       router.Shutdown();
     }
@@ -557,6 +568,7 @@ int main(int argc, char** argv) {
       record.Set("hedging", hedging);
       record.Set("hedges_launched", router.hedges_launched());
       record.Set("hedges_won", router.hedges_won());
+      record.Set("provenance", provenance);
       records.Append(std::move(record));
       router.Shutdown();
     }

@@ -50,11 +50,12 @@ echo "== server: ctest -L server (tier-1 build) =="
 echo "== storage: ctest -L storage (tier-1 build) =="
 (cd build && ctest -L storage --output-on-failure -j "$JOBS")
 
-echo "== flake: ctest -L 'storage|server' -j8 --repeat until-fail:5 =="
+echo "== flake: ctest -L 'storage|server|router' -j8 --repeat until-fail:5 =="
 # Tests that touch files, sockets or worker threads must pass every time
 # under a wide ctest -j, not only when run serially: each case runs as its
-# own process, five times over, eight at a time.
-(cd build && ctest -L 'storage|server' --output-on-failure -j 8 \
+# own process, five times over, eight at a time. The router suites bind
+# loopback ports and run in-process shards, so they belong here too.
+(cd build && ctest -L 'storage|server|router' --output-on-failure -j 8 \
   --repeat until-fail:5)
 
 echo "== router: ctest -L router (tier-1 build) =="

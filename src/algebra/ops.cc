@@ -384,7 +384,7 @@ void WarmupTopKFloor(const Document& document, const FragmentSet& set1,
   // raise the seed (SeedFloor is monotone), so under a strong external floor
   // the bound checks below collapse the warmup to pure arithmetic.
   TopKCollector scratch(k);
-  scratch.SeedFloor(collector->EffectiveFloor());
+  scratch.SeedFloor(collector->seeded_floor());
   JoinArena arena;
   const bool prefilter = SummaryPrefilterEnabled();
   for (size_t i : top1) {

@@ -11,7 +11,7 @@ double JoinScorer::QuickUpperBound(const JoinBounds&) const {
 
 bool TopKCollector::Offer(Fragment fragment, double score) {
   if (k_ == 0) return false;
-  if (score < EffectiveFloor()) {
+  if (score < floor_) {
     // The floor promises k distinct answers at or above it exist globally,
     // so this candidate cannot be among the k best. Count it only when the
     // heap alone would have retained it (conservatively ignoring possible

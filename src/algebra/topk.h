@@ -19,7 +19,6 @@
 #ifndef XFRAG_ALGEBRA_TOPK_H_
 #define XFRAG_ALGEBRA_TOPK_H_
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <unordered_map>
@@ -152,9 +151,9 @@ inline bool OutranksScored(const ScoredFragment& a, const ScoredFragment& b) {
 /// exactly the k best distinct fragments offered, independent of order.
 ///
 /// A collector may additionally be seeded with an external *score floor*
-/// (SeedFloor / AttachLiveFloor): a promise by the caller that at least k
-/// distinct answers with score >= floor exist globally, even if they will
-/// never be offered to this collector. Candidates strictly below the floor
+/// (SeedFloor): a promise by the caller that at least k distinct answers
+/// with score >= floor exist globally, even if they will never be offered
+/// to this collector. Candidates strictly below the floor
 /// are rejected as if the heap were already full of floor-scoring entries.
 /// Soundness: if the promise holds, every rejected candidate is outranked by
 /// k others, so the global k best are unaffected; candidates *tying* the
@@ -174,29 +173,8 @@ class TopKCollector {
     if (floor > floor_) floor_ = floor;
   }
 
-  /// \brief Attaches an external, concurrently-raised floor. The collector
-  /// reads it with memory_order_relaxed on each bound check; the pointee
-  /// must outlive the collector (or be detached by passing nullptr). A racy
-  /// stale read is always sound — floors only ever rise through sound
-  /// values, so acting on an older (lower) floor merely prunes less.
-  void AttachLiveFloor(const std::atomic<double>* live) { live_floor_ = live; }
-
-  /// The static floor seeded so far (-inf when never seeded).
+  /// The floor seeded so far (-inf when never seeded).
   double seeded_floor() const { return floor_; }
-
-  /// The attached live floor, or nullptr when none (see AttachLiveFloor).
-  const std::atomic<double>* live_floor() const { return live_floor_; }
-
-  /// \brief The floor currently in force: max of the seeded static floor and
-  /// the attached live floor (if any).
-  double EffectiveFloor() const {
-    double floor = floor_;
-    if (live_floor_ != nullptr) {
-      double live = live_floor_->load(std::memory_order_relaxed);
-      if (live > floor) floor = live;
-    }
-    return floor;
-  }
 
   /// Number of candidates rejected *because of the external floor* (i.e.
   /// they would have been retained by an unseeded collector in the same
@@ -212,9 +190,10 @@ class TopKCollector {
   /// Clean when nothing was floor-rejected, or when the heap filled to
   /// capacity with every retained score at or above the best rejected score
   /// (then each rejected candidate is outranked by k retained ones). A dirty
-  /// audit does not prove the floor unsound — a distributed shard legally
-  /// ends with fewer than k local answers — so callers opt in only where the
-  /// full answer stream is offered locally (see ExecutorOptions).
+  /// audit does not prove the floor unsound — a document seeded from earlier
+  /// documents legally ends with fewer than k local answers — so callers
+  /// opt in only where the full answer stream is offered locally (see
+  /// ExecutorOptions).
   bool FloorAuditClean() const {
     if (floor_rejections_ == 0) return true;
     if (heap_.size() < k_) return false;
@@ -231,7 +210,7 @@ class TopKCollector {
   /// before the heap fills.
   bool CouldAccept(double upper) const {
     if (k_ == 0) return false;
-    if (upper < EffectiveFloor()) {
+    if (upper < floor_) {
       // Count only rejections the heap alone would not have produced, so
       // floor_rejections() isolates the floor's effect. `upper` bounds the
       // true score from above, so max_floor_rejected_ stays conservative.
@@ -279,8 +258,6 @@ class TopKCollector {
   size_t k_;
   /// External score floor (see SeedFloor); -inf means "no floor".
   double floor_ = -std::numeric_limits<double>::infinity();
-  /// Optional concurrently-raised floor (see AttachLiveFloor); not owned.
-  const std::atomic<double>* live_floor_ = nullptr;
   /// Floor-audit state; mutable because CouldAccept is logically const but
   /// must record rejections the heap alone would not have produced.
   mutable uint64_t floor_rejections_ = 0;

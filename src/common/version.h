@@ -13,12 +13,14 @@ namespace xfrag {
 inline constexpr const char* kVersion = "0.6.0";
 
 /// \brief Revision of the router↔shard and client↔router protocol: the
-/// /query request fields the router understands (`require_complete`,
-/// `bound_exchange`), the shard-side distributed top-k fields
-/// (`score_floor`, `probe_documents`, `skip_documents`, `query_id`), the
-/// POST /threshold endpoint, the `"partial"` response contract, and the
+/// /query and /query_batch request fields the router understands
+/// (`require_complete`), the `"partial"` response contract, and the
 /// cross-shard merge ordering. Bumped whenever any of those change shape.
-inline constexpr int kRouterProtocolRevision = 3;
+/// Revision 4 dropped the two-phase top-k bound exchange: top-k is one
+/// scatter and an exact k-way merge. The exchange's shard endpoint is gone,
+/// and its five request fields are unknown fields (a 400) like any other
+/// (docs/SERVING.md, "Distributed top-k").
+inline constexpr int kRouterProtocolRevision = 4;
 
 /// \brief One-line build description: version, compiler, language level.
 inline std::string BuildInfo(const char* binary_name) {

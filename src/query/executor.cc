@@ -234,7 +234,6 @@ StatusOr<std::vector<algebra::ScoredFragment>> ExecutePlanTopK(
         root->filter != nullptr ? root->filter : algebra::filters::True();
     algebra::TopKCollector collector(k);
     collector.SeedFloor(options.score_floor);
-    collector.AttachLiveFloor(options.live_score_floor);
     // The bounded kernel caches accept-verdicts too, so DAG compression is
     // only licensed when the residual selection is translation-invariant
     // (the `accept` callback is the caller's promise; see ExecutorOptions).
@@ -264,7 +263,6 @@ StatusOr<std::vector<algebra::ScoredFragment>> ExecutePlanTopK(
   if (!full.ok()) return full.status();
   algebra::TopKCollector collector(k);
   collector.SeedFloor(options.score_floor);
-  collector.AttachLiveFloor(options.live_score_floor);
   for (const Fragment& f : full.value()) {
     if (accept && !accept(f)) continue;
     collector.Offer(f, scorer.Score(f));

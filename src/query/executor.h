@@ -3,7 +3,6 @@
 #ifndef XFRAG_QUERY_EXECUTOR_H_
 #define XFRAG_QUERY_EXECUTOR_H_
 
-#include <atomic>
 #include <limits>
 #include <vector>
 
@@ -36,20 +35,16 @@ struct ExecutorOptions {
   const CancelToken* cancel = nullptr;
   /// Initial score floor seeded into the top-k collector (ExecutePlanTopK
   /// only; -inf = none). Soundness is the caller's promise: at least k
-  /// distinct answers *somewhere in the query's global scope* — other
-  /// documents, other shards — score at or above the floor. Candidates
+  /// distinct answers *somewhere in the query's scope* — e.g. earlier
+  /// documents of the same request — score at or above the floor. Candidates
   /// strictly below it are pruned; the returned prefix is then exactly the
   /// answers of the unseeded evaluation that score >= the floor.
   double score_floor = -std::numeric_limits<double>::infinity();
-  /// Optional concurrently-raised floor (distributed threshold updates).
-  /// Read with relaxed ordering during the bounded join; must only ever
-  /// rise, through sound values, and must outlive the call.
-  const std::atomic<double>* live_score_floor = nullptr;
   /// Debug audit of the seeded floor: when true, ExecutePlanTopK fails with
   /// Internal if the floor provably suppressed a top-k answer of *this*
   /// plan's own answer stream (fewer than k retained, or a rejected
   /// candidate outscoring a retained one). Leave false when the floor's
-  /// witnesses legitimately live elsewhere (other documents or shards).
+  /// witnesses legitimately live elsewhere (other documents).
   bool audit_score_floor = false;
   /// Optional subtree-class index of `document` (doc/subtree_classes.h).
   /// When set — and the global SetDagCompressionEnabled switch is on — the

@@ -122,9 +122,8 @@ StatusOr<json::Value> MergeQueryBodies(std::vector<ShardBody> bodies,
   if (ranked_mode) {
     // K-way merge on (score desc, global document asc). Ties on both keys
     // can only occur inside one body's already-ordered list (bodies cover
-    // disjoint document ranges — a shard's probe and resume bodies share a
-    // doc_base but split its documents), so the comparator never has to
-    // reconstruct canonical fragment order.
+    // disjoint document ranges), so the comparator never has to reconstruct
+    // canonical fragment order.
     std::vector<RankedCursor> cursors;
     for (const ShardBody& shard : bodies) {
       cursors.push_back(RankedCursor{&shard, 0});

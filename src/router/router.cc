@@ -4,8 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <random>
-#include <set>
 #include <string_view>
 #include <utility>
 
@@ -56,43 +54,57 @@ json::Value MissingShardsJson(const std::vector<size_t>& missing) {
   return out;
 }
 
-/// The global k-th-score threshold. Feeding it every answer score seen so
-/// far (probe answers, completed refine bodies), its floor — the smallest of
-/// the k best — is sound by construction: k real, distinct answers score at
-/// or above it (shards hold disjoint documents, and each shard's list is
-/// already deduplicated), so a shard may prune strictly-below candidates
-/// without losing any global top-k answer. Coordinator-thread only.
-class ThresholdTracker {
- public:
-  explicit ThresholdTracker(size_t k) : k_(k) {}
+/// A client-supplied deadline as a shard budget in whole milliseconds,
+/// clamped to [1, INT_MAX] before narrowing: DEADLINE accepts up to 15
+/// digits, and a cast past INT_MAX would wrap to a bogus tiny budget.
+int ClampDeadlineMs(double ms) {
+  constexpr double kMax = std::numeric_limits<int>::max();
+  return static_cast<int>(std::clamp(std::ceil(ms), 1.0, kMax));
+}
 
-  void Add(double score) {
-    if (k_ == 0) return;
-    best_.insert(score);
-    if (best_.size() > k_) best_.erase(best_.begin());
-  }
-
-  bool HasFloor() const { return k_ > 0 && best_.size() >= k_; }
-  double Floor() const { return *best_.begin(); }
-
- private:
-  size_t k_;
-  std::multiset<double> best_;
+/// What the router reads from one client query object: the merge plan and
+/// the shard deadline the query asks for (0 = none).
+struct QueryPlan {
+  MergePlan merge;
+  int deadline_ms = 0;
 };
 
-/// Feeds every answer score of a /query body into the tracker. Bodies may
-/// truncate answers below k ("max_answers") — that only starves the tracker,
-/// never unsounds it, since a floor needs k *collected* scores.
-void AddAnswerScores(const json::Value& body, ThresholdTracker* tracker) {
-  const json::Value* answers = body.Find("answers");
-  if (answers == nullptr || !answers->is_array()) return;
-  for (const json::Value& answer : answers->items()) {
-    if (!answer.is_object()) continue;
-    const json::Value* score = answer.Find("score");
-    if (score != nullptr && score->is_number()) {
-      tracker->Add(score->AsDouble());
+/// The one merge-plan extractor behind /query and every /query_batch item.
+/// Best effort: a query the shards will reject keeps the defaults (their
+/// 4xx is what the client sees). An XQL "q" text carries TOP/RANK/LIMIT/
+/// DEADLINE inside it, so it is lowered here; the query itself is forwarded
+/// untouched, since shards decode "q" themselves.
+QueryPlan ExtractQueryPlan(const json::Value& query) {
+  QueryPlan plan;
+  if (!query.is_object()) return plan;
+  if (const json::Value* v = query.Find("top_k");
+      v != nullptr && v->is_integral() && v->AsInt() >= 0) {
+    plan.merge.top_k = v->AsInt();
+  }
+  if (const json::Value* v = query.Find("rank"); v != nullptr && v->is_bool()) {
+    plan.merge.rank = v->AsBool();
+  }
+  if (const json::Value* v = query.Find("max_answers");
+      v != nullptr && v->is_integral() && v->AsInt() >= 0) {
+    plan.merge.max_answers = v->AsInt();
+  }
+  if (const json::Value* v = query.Find("deadline_ms");
+      v != nullptr && v->is_number() && v->AsDouble() > 0) {
+    plan.deadline_ms = ClampDeadlineMs(v->AsDouble());
+  }
+  if (const json::Value* v = query.Find("q"); v != nullptr && v->is_string()) {
+    auto lowered = lang::ParseAndLower(v->AsString(), nullptr);
+    if (lowered.ok()) {
+      if (lowered->top_k >= 0) plan.merge.top_k = lowered->top_k;
+      if (lowered->rank || lowered->top_k >= 0) plan.merge.rank = true;
+      if (lowered->limit >= 0) plan.merge.max_answers = lowered->limit;
+      if (lowered->deadline_ms > 0) {
+        plan.deadline_ms =
+            ClampDeadlineMs(static_cast<double>(lowered->deadline_ms));
+      }
     }
   }
+  return plan;
 }
 
 }  // namespace
@@ -127,9 +139,6 @@ struct Router::GatherState {
   std::condition_variable cv;
   size_t outstanding = 0;
   std::vector<PerShard> shards;
-  /// Shards that resolved with HTTP 200, in arrival order — the coordinator
-  /// drains this to fire the response hook without missing a resolution.
-  std::vector<size_t> resolve_order;
 };
 
 Router::Router(ShardMap map, RouterOptions options)
@@ -144,20 +153,13 @@ Router::Router(ShardMap map, RouterOptions options)
                                                     options_.backend);
     shards_.push_back(std::move(state));
   }
-  // Sized so every worker can have all its shard legs plus a hedge and a
-  // round of threshold-update tasks in flight without queuing behind
-  // another request's fan-out.
+  // Sized so every worker can have all its shard legs plus a hedge in
+  // flight without queuing behind another request's fan-out.
   size_t fanout = static_cast<size_t>(std::max(1, options_.workers)) *
-                      (shards_.size() + 2) +
+                      (shards_.size() + 1) +
                   1;
   fanout_pool_ = std::make_unique<ThreadPool>(
       static_cast<unsigned>(std::clamp<size_t>(fanout, 2, 128)));
-  // A per-instance tag keeps query ids distinct across routers sharing the
-  // same shard fleet — a collision would merge two queries' floors in the
-  // shard-side registry, and another query's floor is not sound for this
-  // one.
-  std::random_device rd;
-  query_tag_ = StrFormat("%08x%08x", rd(), rd());
 }
 
 Router::~Router() { Shutdown(); }
@@ -235,15 +237,7 @@ int Router::HedgeDelayMs(int shard_deadline_ms) const {
 
 std::vector<Router::ShardOutcome> Router::ScatterGather(
     const std::string& forward_body, int shard_deadline_ms,
-    const ResponseHook& on_response, const std::string& target) {
-  return ScatterGather(
-      std::vector<std::string>(shards_.size(), forward_body),
-      shard_deadline_ms, on_response, target);
-}
-
-std::vector<Router::ShardOutcome> Router::ScatterGather(
-    const std::vector<std::string>& forward_bodies, int shard_deadline_ms,
-    const ResponseHook& on_response, const std::string& target) {
+    const std::string& target) {
   const size_t n = shards_.size();
   auto state = std::make_shared<GatherState>();
   state->shards.resize(n);
@@ -276,7 +270,6 @@ std::vector<Router::ShardOutcome> Router::ScatterGather(
         per.outcome.resolved = true;
         per.outcome.http_status = result->status;
         per.outcome.body = std::move(result->body);
-        if (result->status == 200) state->resolve_order.push_back(i);
         per.hedge_won = is_hedge;
         // The loser's socket is shut down, not closed: its attempt still
         // owns the fd and fails out promptly instead of waiting for data.
@@ -299,7 +292,7 @@ std::vector<Router::ShardOutcome> Router::ScatterGather(
   requests.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     requests.push_back(
-        shards_[i]->client->BuildRequest("POST", target, forward_bodies[i]));
+        shards_[i]->client->BuildRequest("POST", target, forward_body));
   }
   {
     std::lock_guard<std::mutex> lock(state->mutex);
@@ -324,32 +317,10 @@ std::vector<Router::ShardOutcome> Router::ScatterGather(
   bool hedged = !options_.enable_hedging || n == 0;
 
   std::unique_lock<std::mutex> lock(state->mutex);
-  // Fires the response hook for every 200 body that has arrived since the
-  // last drain. The hook runs unlocked (it may parse bodies and post update
-  // tasks); resolve_order only ever grows, so re-checking its size after
-  // relocking never skips or repeats a shard.
-  size_t hook_drained = 0;
-  auto drain_hook = [&] {
-    while (on_response && hook_drained < state->resolve_order.size()) {
-      size_t shard = state->resolve_order[hook_drained++];
-      std::string body = state->shards[shard].outcome.body;
-      std::vector<size_t> running;
-      for (size_t j = 0; j < state->shards.size(); ++j) {
-        if (!state->shards[j].done) running.push_back(j);
-      }
-      lock.unlock();
-      on_response(shard, body, running);
-      lock.lock();
-    }
-  };
   while (state->outstanding > 0) {
     auto wake = hedged ? deadline_tp : std::min(deadline_tp, hedge_tp);
-    state->cv.wait_until(lock, wake, [&] {
-      return state->outstanding == 0 ||
-             (on_response != nullptr &&
-              hook_drained < state->resolve_order.size());
-    });
-    drain_hook();
+    state->cv.wait_until(lock, wake,
+                         [&] { return state->outstanding == 0; });
     if (state->outstanding == 0) break;
     auto now = Clock::now();
     if (!hedged && now >= hedge_tp) {
@@ -402,6 +373,31 @@ std::vector<Router::ShardOutcome> Router::ScatterGather(
   return outcomes;
 }
 
+int Router::MergeShardBodies(std::vector<ShardBody> bodies,
+                             const std::vector<size_t>& missing,
+                             const MergePlan& plan, bool require_complete,
+                             json::Value* out) {
+  if (bodies.empty() || (require_complete && !missing.empty())) {
+    *out = ErrorJson(Status::DeadlineExceeded(
+        bodies.empty() ? "no shard answered"
+                       : "incomplete result refused (require_complete)"));
+    out->Set("missing_shards", MissingShardsJson(missing));
+    return 504;
+  }
+  auto merged =
+      MergeQueryBodies(std::move(bodies), plan, map_.total_documents, missing);
+  if (!merged.ok()) {
+    *out = ErrorJson(
+        Status::Internal("merge failed: " + merged.status().message()));
+    return 502;
+  }
+  if (!missing.empty()) {
+    partials_served_.fetch_add(1, std::memory_order_relaxed);
+  }
+  *out = std::move(*merged);
+  return 200;
+}
+
 std::string Router::HandleQuery(const std::string& request_body,
                                 int* status_out) {
   Timer timer;
@@ -414,13 +410,12 @@ std::string Router::HandleQuery(const std::string& request_body,
     return body.Dump();
   }
 
+  // require_complete is router-protocol only: validate, consume, and strip
+  // it before forwarding (a shard would reject the unknown field). Every
+  // other field goes to the shards as sent; their decoder is the one place
+  // that accepts or rejects request fields.
   bool require_complete = false;
-  bool bound_exchange = options_.enable_bound_exchange;
-  MergePlan plan;
-  int shard_deadline_ms = options_.default_shard_deadline_ms;
   if (root->is_object()) {
-    // require_complete is router-protocol only: validate, consume, and
-    // strip it before forwarding (a shard would reject the unknown field).
     if (const json::Value* rc = root->Find("require_complete")) {
       if (!rc->is_bool()) {
         *status_out = 400;
@@ -431,305 +426,50 @@ std::string Router::HandleQuery(const std::string& request_body,
       require_complete = rc->AsBool();
       root->Remove("require_complete");
     }
-    // bound_exchange is router-protocol too: a per-request override of the
-    // two-phase top-k machinery (ablation / debugging).
-    if (const json::Value* be = root->Find("bound_exchange")) {
-      if (!be->is_bool()) {
-        *status_out = 400;
-        return ErrorJson(Status::InvalidArgument(
-                             "\"bound_exchange\" must be a boolean"))
-            .Dump();
-      }
-      bound_exchange = be->AsBool();
-      root->Remove("bound_exchange");
-    }
-    // The shard-side distributed top-k fields are internal to the
-    // router↔shard protocol; a client must not inject floors (an unsound
-    // floor would silently drop answers) or collide with router query ids.
-    for (std::string_view internal :
-         {"score_floor", "probe_documents", "skip_documents", "query_id"}) {
-      if (root->Find(internal) != nullptr) {
-        *status_out = 400;
-        return ErrorJson(Status::InvalidArgument(StrFormat(
-                             "\"%.*s\" is internal to the router-shard "
-                             "protocol and not accepted from clients",
-                             static_cast<int>(internal.size()),
-                             internal.data())))
-            .Dump();
-      }
-    }
-    // Best-effort extraction of the fields the merge needs; requests the
-    // shards would reject keep the defaults (the 4xx is forwarded anyway).
-    if (const json::Value* v = root->Find("top_k");
-        v != nullptr && v->is_integral() && v->AsInt() >= 0) {
-      plan.top_k = v->AsInt();
-    }
-    if (const json::Value* v = root->Find("rank");
-        v != nullptr && v->is_bool()) {
-      plan.rank = v->AsBool();
-    }
-    if (const json::Value* v = root->Find("max_answers");
-        v != nullptr && v->is_integral() && v->AsInt() >= 0) {
-      plan.max_answers = v->AsInt();
-    }
-    if (const json::Value* v = root->Find("deadline_ms");
-        v != nullptr && v->is_number() && v->AsDouble() > 0) {
-      shard_deadline_ms = static_cast<int>(
-          std::clamp(std::ceil(v->AsDouble()), 1.0,
-                     static_cast<double>(std::numeric_limits<int>::max())));
-    }
   }
+  const QueryPlan plan = ExtractQueryPlan(*root);
+  const int shard_deadline_ms = plan.deadline_ms > 0
+                                    ? plan.deadline_ms
+                                    : options_.default_shard_deadline_ms;
 
-  // An XQL "q" body carries TOP/RANK/LIMIT/DEADLINE inside the text, so the
-  // merge plan is lowered from it best-effort. The body is still forwarded
-  // untouched — shards decode "q" themselves — and an unparseable text just
-  // keeps the defaults (the shard's structured 400 is what the client sees).
-  bool q_carries_limit = false;
-  if (root->is_object()) {
-    if (const json::Value* v = root->Find("q");
-        v != nullptr && v->is_string()) {
-      auto lowered = lang::ParseAndLower(v->AsString(), nullptr);
-      if (lowered.ok()) {
-        if (lowered->top_k >= 0) plan.top_k = lowered->top_k;
-        if (lowered->rank || lowered->top_k >= 0) plan.rank = true;
-        if (lowered->limit >= 0) {
-          plan.max_answers = lowered->limit;
-          // The probe phase strips "max_answers" before forwarding; a LIMIT
-          // inside the query text cannot be stripped, so two-phase top-k is
-          // skipped for this request (single-phase is always exact).
-          q_carries_limit = true;
-        }
-        if (lowered->deadline_ms > 0) {
-          // Clamp in 64-bit first: DEADLINE accepts up to 15 digits, and a
-          // narrowing cast past INT_MAX would wrap to a bogus tiny budget.
-          shard_deadline_ms = static_cast<int>(std::clamp<int64_t>(
-              lowered->deadline_ms, 1, std::numeric_limits<int>::max()));
-        }
-      }
-    }
-  }
-
-  // Two-phase distributed top-k (docs/SERVING.md): probe → global k-th
-  // score → refine with the floor pushed down, plus mid-query raises as
-  // fast shards finish. k == 0 and single-shard deployments gain nothing
-  // from a floor, so they stay single-phase.
-  const bool two_phase = bound_exchange && root->is_object() &&
-                         plan.top_k >= 1 && shards_.size() > 1 &&
-                         !q_carries_limit;
-  std::string query_id;
-  ThresholdTracker tracker(
-      two_phase ? static_cast<size_t>(plan.top_k) : 0);
-  double best_floor_sent = -std::numeric_limits<double>::infinity();
-  // Probe reuse: a shard's successful probe body is kept and merged into
-  // the final response, and that shard's refine request resumes after the
-  // probed documents ("skip_documents") instead of re-evaluating them — the
-  // probe's work is never paid twice. Exact because the probe is the shard's
-  // true top-k over its first documents, the resume is the (floored) top-k
-  // over the rest, and the k-way merge of disjoint-document top-k lists is
-  // the global top-k.
-  struct ProbeReuse {
-    bool use = false;
-    uint64_t evaluated = 0;
-    json::Value body;
-  };
-  std::vector<ProbeReuse> probe_reuse(shards_.size());
-
-  if (two_phase) {
-    Timer probe_timer;
-    // The probe evaluates only each shard's first documents — cheap by
-    // construction, so it keeps the client's rendering options (its answers
-    // are served, not discarded). Only "max_answers" is stripped: the floor
-    // needs all k probe scores, and the merge re-truncates.
-    json::Value probe = *root;
-    probe.Remove("max_answers");
-    probe.Set("probe_documents",
-              static_cast<int64_t>(std::max(1, options_.probe_documents)));
-    std::vector<ShardOutcome> probe_outcomes =
-        ScatterGather(probe.Dump(), shard_deadline_ms);
-    // A failed or invalid probe response only costs pruning, never
-    // correctness — and a probe 4xx is *not* forwarded: the probe body
-    // differs from the client's, so only the refine phase (which carries
-    // every client field) may speak for validation.
-    for (size_t i = 0; i < probe_outcomes.size(); ++i) {
-      const ShardOutcome& outcome = probe_outcomes[i];
-      if (!outcome.resolved || outcome.http_status != 200) continue;
-      auto parsed = json::Parse(outcome.body);
-      if (parsed.ok() && parsed->is_object()) {
-        AddAnswerScores(*parsed, &tracker);
-        const json::Value* evaluated = parsed->Find("documents_evaluated");
-        if (evaluated != nullptr && evaluated->is_integral() &&
-            evaluated->AsInt() >= 1) {
-          probe_reuse[i].use = true;
-          probe_reuse[i].evaluated =
-              static_cast<uint64_t>(evaluated->AsInt());
-          probe_reuse[i].body = std::move(*parsed);
-        }
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(phase_mutex_);
-      probe_latency_.Record(
-          static_cast<uint64_t>(probe_timer.ElapsedMicros()));
-    }
-    query_id = StrFormat(
-        "xr-%s-%llu", query_tag_.c_str(),
-        static_cast<unsigned long long>(
-            query_id_counter_.fetch_add(1, std::memory_order_relaxed)));
-    root->Set("query_id", query_id);
-    if (tracker.HasFloor()) {
-      best_floor_sent = tracker.Floor();
-      root->Set("score_floor", best_floor_sent);
-      bounds_pushed_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  // As refine responses land, fold their answer scores into the tracker and
-  // push any improved global k-th score to the shards still running. All on
-  // the coordinator thread — the tracker needs no lock.
-  ResponseHook hook;
-  if (two_phase) {
-    hook = [this, &tracker, &query_id, &best_floor_sent](
-               size_t, const std::string& body_text,
-               const std::vector<size_t>& running) {
-      if (running.empty()) return;
-      auto parsed = json::Parse(body_text);
-      if (!parsed.ok() || !parsed->is_object()) return;
-      AddAnswerScores(*parsed, &tracker);
-      if (!tracker.HasFloor()) return;
-      double floor = tracker.Floor();
-      if (floor <= best_floor_sent) return;
-      best_floor_sent = floor;
-      SendThresholdUpdates(running, query_id, floor);
-    };
-  }
-
-  // Refine bodies are per shard: a shard whose probe is being reused gets
-  // its own resume point; the others get the plain request.
-  std::vector<std::string> refine_bodies;
-  refine_bodies.reserve(shards_.size());
-  {
-    const std::string plain = root->Dump();
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      if (probe_reuse[i].use) {
-        root->Set("skip_documents",
-                  static_cast<int64_t>(probe_reuse[i].evaluated));
-        refine_bodies.push_back(root->Dump());
-        root->Remove("skip_documents");
-      } else {
-        refine_bodies.push_back(plain);
-      }
-    }
-  }
-
-  Timer refine_timer;
+  // One scatter, top-k included (docs/SERVING.md): shards hold disjoint
+  // documents, so each shard's local top-k merged k-way is the exact global
+  // top-k, and a missing shard leaves the exact top-k of the survivors.
   std::vector<ShardOutcome> outcomes =
-      ScatterGather(refine_bodies, shard_deadline_ms, hook);
-  if (two_phase) {
-    std::lock_guard<std::mutex> lock(phase_mutex_);
-    refine_latency_.Record(
-        static_cast<uint64_t>(refine_timer.ElapsedMicros()));
-  }
+      ScatterGather(root->Dump(), shard_deadline_ms, "/query");
 
   std::vector<ShardBody> bodies;
   std::vector<size_t> missing;
-  int forwarded_status = 0;
-  std::string forwarded_body;
-  auto classify = [&](std::vector<ShardOutcome>& outs) {
-    bodies.clear();
-    missing.clear();
-    forwarded_status = 0;
-    for (size_t i = 0; i < outs.size(); ++i) {
-      ShardOutcome& outcome = outs[i];
-      if (outcome.resolved && outcome.http_status == 200) {
-        auto parsed = json::Parse(outcome.body);
-        if (parsed.ok() && parsed->is_object()) {
-          bodies.push_back(ShardBody{i, shards_[i]->info.doc_begin,
-                                     std::move(*parsed)});
-        } else {
-          missing.push_back(i);
-        }
-      } else if (outcome.resolved && outcome.http_status >= 400 &&
-                 outcome.http_status < 500) {
-        // Validation errors are deterministic across shards (identical
-        // request, identical decoder) — the first one speaks for the corpus.
-        forwarded_status = outcome.http_status;
-        forwarded_body = std::move(outcome.body);
-        return;
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    ShardOutcome& outcome = outcomes[i];
+    if (outcome.resolved && outcome.http_status == 200) {
+      auto parsed = json::Parse(outcome.body);
+      if (parsed.ok() && parsed->is_object()) {
+        bodies.push_back(
+            ShardBody{i, shards_[i]->info.doc_begin, std::move(*parsed)});
       } else {
-        // 5xx, shard-side 504, transport error, or gather deadline.
         missing.push_back(i);
       }
-    }
-  };
-  classify(outcomes);
-  if (forwarded_status != 0) {
-    *status_out = forwarded_status;
-    return forwarded_body;
-  }
-
-  // Degraded-mode exactness: the floor pushed at refine (and any mid-query
-  // raise) is justified by answers that may have lived on a shard that just
-  // went missing — survivors pruned against witnesses nobody merged would
-  // be silently wrong. Re-scatter the plain single-phase request so every
-  // surviving shard's output is self-justified, then merge that.
-  if (two_phase && !missing.empty() && !require_complete && !bodies.empty()) {
-    bound_exchange_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    root->Remove("score_floor");
-    root->Remove("query_id");
-    // The fallback bodies are complete single-phase evaluations, so every
-    // probe body must be discarded: merging one next to a full body for the
-    // same shard would duplicate the probed documents' answers.
-    for (ProbeReuse& reuse : probe_reuse) reuse.use = false;
-    outcomes = ScatterGather(root->Dump(), shard_deadline_ms);
-    classify(outcomes);
-    if (forwarded_status != 0) {
-      *status_out = forwarded_status;
-      return forwarded_body;
+    } else if (outcome.resolved && outcome.http_status >= 400 &&
+               outcome.http_status < 500) {
+      // Validation errors are deterministic across shards (identical
+      // request, identical decoder) — the first one speaks for the corpus.
+      *status_out = outcome.http_status;
+      return std::move(outcome.body);
+    } else {
+      // 5xx, shard-side 504, transport error, or gather deadline.
+      missing.push_back(i);
     }
   }
 
-  if (bodies.empty() || (require_complete && !missing.empty())) {
-    json::Value body = ErrorJson(Status::DeadlineExceeded(
-        bodies.empty() ? "no shard answered"
-                       : "incomplete result refused (require_complete)"));
-    body.Set("missing_shards", MissingShardsJson(missing));
-    *status_out = 504;
-    return body.Dump();
-  }
-
-  // Interleave each reused probe body ahead of its shard's resume body: the
-  // two partition the shard's documents (probe first, in document order), so
-  // the merge treats them as two mini-shards sharing one doc_base.
-  if (two_phase) {
-    std::vector<ShardBody> with_probes;
-    with_probes.reserve(bodies.size() * 2);
-    for (ShardBody& body : bodies) {
-      ProbeReuse& reuse = probe_reuse[body.shard_index];
-      if (reuse.use) {
-        probe_answers_reused_.fetch_add(1, std::memory_order_relaxed);
-        with_probes.push_back(ShardBody{body.shard_index, body.doc_base,
-                                        std::move(reuse.body)});
-      }
-      with_probes.push_back(std::move(body));
-    }
-    bodies = std::move(with_probes);
-  }
-
-  auto merged = MergeQueryBodies(std::move(bodies), plan,
-                                 map_.total_documents, missing);
-  if (!merged.ok()) {
-    *status_out = 502;
-    return ErrorJson(Status::Internal("merge failed: " +
-                                      merged.status().message()))
-        .Dump();
-  }
-  if (!missing.empty()) {
-    partials_served_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (plan.top_k >= 0) {
-    // Observability for the bench: how many candidate pairs the score
-    // bounds (seeded floors included) rejected fleet-wide for this query.
-    if (const json::Value* metrics = merged->Find("metrics")) {
+  json::Value merged;
+  *status_out = MergeShardBodies(std::move(bodies), missing, plan.merge,
+                                 require_complete, &merged);
+  if (*status_out != 200) return merged.Dump();
+  if (plan.merge.top_k >= 0) {
+    // Observability: how many candidate pairs the shards' score bounds
+    // (engine-local floors included) rejected fleet-wide for this query.
+    if (const json::Value* metrics = merged.Find("metrics")) {
       if (const json::Value* rejected =
               metrics->Find("pairs_rejected_score");
           rejected != nullptr && rejected->is_integral() &&
@@ -740,9 +480,8 @@ std::string Router::HandleQuery(const std::string& request_body,
       }
     }
   }
-  merged->Set("elapsed_ms", timer.ElapsedMillis());
-  *status_out = 200;
-  return merged->Dump();
+  merged.Set("elapsed_ms", timer.ElapsedMillis());
+  return merged.Dump();
 }
 
 std::string Router::HandleQueryBatch(const std::string& request_body,
@@ -838,22 +577,6 @@ std::string Router::HandleQueryBatch(const std::string& request_body,
           "each batch item must be a JSON object"));
       continue;
     }
-    // Per-item router-protocol policing mirrors /query; a bad item is a
-    // per-item structured 400, never a rejection of the whole batch.
-    bool rejected = false;
-    for (std::string_view internal :
-         {"score_floor", "probe_documents", "skip_documents", "query_id"}) {
-      if (q.Find(internal) != nullptr) {
-        item.status = 400;
-        item.body = ErrorJson(Status::InvalidArgument(StrFormat(
-            "\"%.*s\" is internal to the router-shard protocol and not "
-            "accepted from clients",
-            static_cast<int>(internal.size()), internal.data())));
-        rejected = true;
-        break;
-      }
-    }
-    if (rejected) continue;
     // require_complete lives on the batch envelope; accepting it per item
     // would silently apply to nothing.
     if (q.Find("require_complete") != nullptr) {
@@ -863,59 +586,11 @@ std::string Router::HandleQueryBatch(const std::string& request_body,
           "batch envelope, not on an item"));
       continue;
     }
-    // The batch path merges each shard's local top-k directly (exact over
-    // disjoint documents), so the bound-exchange switch has nothing to
-    // control here; accepting it would be a silent no-op.
-    if (q.Find("bound_exchange") != nullptr) {
-      item.status = 400;
-      item.body = ErrorJson(Status::InvalidArgument(
-          "\"bound_exchange\" is not supported on /query_batch; batch top-k "
-          "merges are exact without the exchange"));
-      continue;
-    }
-    // Best-effort extraction of the per-item merge plan; items the shards
-    // would reject keep the defaults (their per-item 4xx is forwarded).
-    if (const json::Value* v = q.Find("top_k");
-        v != nullptr && v->is_integral() && v->AsInt() >= 0) {
-      item.plan.top_k = v->AsInt();
-    }
-    if (const json::Value* v = q.Find("rank");
-        v != nullptr && v->is_bool()) {
-      item.plan.rank = v->AsBool();
-    }
-    if (const json::Value* v = q.Find("max_answers");
-        v != nullptr && v->is_integral() && v->AsInt() >= 0) {
-      item.plan.max_answers = v->AsInt();
-    }
+    const QueryPlan plan = ExtractQueryPlan(q);
+    item.plan = plan.merge;
     // One deadline budget per shard per batch: wide enough for the most
     // patient item.
-    if (const json::Value* v = q.Find("deadline_ms");
-        v != nullptr && v->is_number() && v->AsDouble() > 0) {
-      shard_deadline_ms = std::max(
-          shard_deadline_ms,
-          static_cast<int>(std::clamp(
-              std::ceil(v->AsDouble()), 1.0,
-              static_cast<double>(std::numeric_limits<int>::max()))));
-    }
-    // XQL items carry TOP/RANK/LIMIT/DEADLINE in the text; lower it
-    // best-effort for the merge plan and forward the item untouched.
-    if (const json::Value* v = q.Find("q");
-        v != nullptr && v->is_string()) {
-      auto lowered = lang::ParseAndLower(v->AsString(), nullptr);
-      if (lowered.ok()) {
-        if (lowered->top_k >= 0) item.plan.top_k = lowered->top_k;
-        if (lowered->rank || lowered->top_k >= 0) item.plan.rank = true;
-        if (lowered->limit >= 0) item.plan.max_answers = lowered->limit;
-        if (lowered->deadline_ms > 0) {
-          // Clamp in 64-bit first (see HandleQuery): a narrowing cast past
-          // INT_MAX wraps negative and the max() would silently discard it.
-          shard_deadline_ms = std::max(
-              shard_deadline_ms,
-              static_cast<int>(std::clamp<int64_t>(
-                  lowered->deadline_ms, 1, std::numeric_limits<int>::max())));
-        }
-      }
-    }
+    shard_deadline_ms = std::max(shard_deadline_ms, plan.deadline_ms);
     item.forwarded = true;
     item.forward_position = forwarded_count++;
     forward.Append(q);
@@ -941,12 +616,9 @@ std::string Router::HandleQueryBatch(const std::string& request_body,
 
   // ONE scatter of the whole forwarded sub-batch to every shard: one
   // connection acquisition, one request/response parse, one deadline budget
-  // per shard per batch. The two-phase bound exchange is skipped on purpose
-  // — the per-item merge of per-shard top-k lists over disjoint documents
-  // is already the exact global answer; floors only save shard-side work
-  // and would cost a second scatter round-trip per batch.
+  // per shard per batch.
   std::vector<ShardOutcome> outcomes =
-      ScatterGather(forward.Dump(), shard_deadline_ms, {}, "/query_batch");
+      ScatterGather(forward.Dump(), shard_deadline_ms, "/query_batch");
 
   const size_t n_shards = shards_.size();
   struct ShardBatch {
@@ -1020,65 +692,11 @@ std::string Router::HandleQueryBatch(const std::string& request_body,
       item.body = std::move(item_4xx_body);
       continue;
     }
-    if (bodies.empty() || (require_complete && !missing.empty())) {
-      json::Value err = ErrorJson(Status::DeadlineExceeded(
-          bodies.empty() ? "no shard answered"
-                         : "incomplete result refused (require_complete)"));
-      err.Set("missing_shards", MissingShardsJson(missing));
-      item.status = 504;
-      item.body = std::move(err);
-      continue;
-    }
-    auto merged = MergeQueryBodies(std::move(bodies), item.plan,
-                                   map_.total_documents, missing);
-    if (!merged.ok()) {
-      item.status = 502;
-      item.body = ErrorJson(
-          Status::Internal("merge failed: " + merged.status().message()));
-      continue;
-    }
-    if (!missing.empty()) {
-      partials_served_.fetch_add(1, std::memory_order_relaxed);
-    }
-    merged->Set("elapsed_ms", timer.ElapsedMillis());
-    item.status = 200;
-    item.body = std::move(*merged);
+    item.status = MergeShardBodies(std::move(bodies), missing, item.plan,
+                                   require_complete, &item.body);
+    if (item.status == 200) item.body.Set("elapsed_ms", timer.ElapsedMillis());
   }
   return render();
-}
-
-void Router::SendThresholdUpdates(const std::vector<size_t>& targets,
-                                  const std::string& query_id, double floor) {
-  json::Value update = json::Value::Object();
-  update.Set("query_id", query_id);
-  update.Set("score_floor", floor);
-  const std::string body = update.Dump();
-  for (size_t target : targets) {
-    threshold_updates_sent_.fetch_add(1, std::memory_order_relaxed);
-    std::string request =
-        shards_[target]->client->BuildRequest("POST", "/threshold", body);
-    // Fire and forget: a lost or late update only costs pruning. The task
-    // runs on the fan-out pool (sized with headroom for it) and never
-    // blocks the query's coordinator.
-    fanout_pool_->Post([this, target, request] {
-      Timer timer;
-      auto result = shards_[target]->client->Call(
-          request, options_.threshold_update_timeout_ms, nullptr);
-      {
-        std::lock_guard<std::mutex> lock(phase_mutex_);
-        update_latency_.Record(
-            static_cast<uint64_t>(timer.ElapsedMicros()));
-      }
-      if (!result.ok() || result->status != 200) return;
-      auto parsed = json::Parse(result->body);
-      if (parsed.ok() && parsed->is_object()) {
-        const json::Value* updated = parsed->Find("updated");
-        if (updated != nullptr && updated->is_bool() && updated->AsBool()) {
-          threshold_updates_applied_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
 }
 
 json::Value Router::RouterMetricsJson() const {
@@ -1116,27 +734,8 @@ json::Value Router::RouterMetricsJson() const {
   }
 
   json::Value topk = json::Value::Object();
-  topk.Set("bounds_pushed",
-           bounds_pushed_.load(std::memory_order_relaxed));
-  topk.Set("threshold_updates_sent",
-           threshold_updates_sent_.load(std::memory_order_relaxed));
-  topk.Set("threshold_updates_applied",
-           threshold_updates_applied_.load(std::memory_order_relaxed));
-  topk.Set("fallback_rescatter",
-           bound_exchange_fallbacks_.load(std::memory_order_relaxed));
   topk.Set("pairs_rejected_score",
            topk_pairs_rejected_.load(std::memory_order_relaxed));
-  topk.Set("probe_reused",
-           probe_answers_reused_.load(std::memory_order_relaxed));
-  {
-    std::lock_guard<std::mutex> lock(phase_mutex_);
-    topk.Set("probe_latency_us",
-             server::StatsRegistry::LatencyToJson(probe_latency_));
-    topk.Set("refine_latency_us",
-             server::StatsRegistry::LatencyToJson(refine_latency_));
-    topk.Set("update_latency_us",
-             server::StatsRegistry::LatencyToJson(update_latency_));
-  }
 
   json::Value batch = json::Value::Object();
   batch.Set("batches", batches_routed_.load(std::memory_order_relaxed));

@@ -29,7 +29,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -39,6 +38,7 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "router/backend_client.h"
+#include "router/merge.h"
 #include "router/shard_map.h"
 #include "server/http_server.h"
 #include "server/latency_histogram.h"
@@ -82,21 +82,10 @@ struct RouterOptions {
   /// Budget for one health probe.
   int health_check_timeout_ms = 1000;
 
-  /// Distributed top-k bound exchange (docs/SERVING.md): top-k queries run
-  /// two-phase — a cheap probe over the first `probe_documents` documents of
-  /// every shard yields a global k-th-score floor that the refine phase
-  /// pushes down ("score_floor"), and a fast shard's improved k-th score is
-  /// propagated to still-running shards via POST /threshold. Probe bodies
-  /// are reused: each shard's refine request resumes after its probed
-  /// documents ("skip_documents") and the merge interleaves the probe and
-  /// resume answer streams, so the probe's work is never paid twice.
-  /// Answers are byte-identical either way; this is purely a work saver. A
-  /// request may opt out with "bound_exchange": false.
-  bool enable_bound_exchange = true;
-  /// Documents each shard evaluates during the probe phase.
-  int probe_documents = 1;
-  /// Budget for one fire-and-forget threshold-update call.
-  int threshold_update_timeout_ms = 200;
+  /// Not settable; exists only for servebench's provenance block.
+  static constexpr bool enable_bound_exchange = false;
+  /// Not settable; exists only for servebench's provenance block.
+  static constexpr int probe_documents = 0;
 
   /// Maximum items one POST /query_batch request may carry; larger batches
   /// are rejected whole with a structured 400. Keep at or below the shards'
@@ -132,24 +121,15 @@ class Router : private server::HttpDispatcher {
   uint64_t hedges_won() const { return hedges_won_.load(); }
   uint64_t partials_served() const { return partials_served_.load(); }
 
-  /// Distributed top-k counters (also in /metrics under
-  /// "router"."distributed_topk").
-  uint64_t bounds_pushed() const { return bounds_pushed_.load(); }
-  uint64_t threshold_updates_sent() const {
-    return threshold_updates_sent_.load();
-  }
-  uint64_t threshold_updates_applied() const {
-    return threshold_updates_applied_.load();
-  }
-  uint64_t bound_exchange_fallbacks() const {
-    return bound_exchange_fallbacks_.load();
-  }
+  /// Sum of the merged "pairs_rejected_score" over top-k /query responses
+  /// (also in /metrics under "router"."distributed_topk").
   uint64_t topk_pairs_rejected() const {
     return topk_pairs_rejected_.load();
   }
-  uint64_t probe_answers_reused() const {
-    return probe_answers_reused_.load();
-  }
+  /// Always 0; exists only for servebench's router counters.
+  uint64_t threshold_updates_sent() const { return 0; }
+  /// Always 0; exists only for servebench's router counters.
+  uint64_t bound_exchange_fallbacks() const { return 0; }
 
   /// Healthy-shard count per the background checker (all shards are
   /// considered healthy before the first probe completes).
@@ -190,48 +170,36 @@ class Router : private server::HttpDispatcher {
                        int* status_out, algebra::OpMetrics* metrics_out,
                        bool* has_metrics_out) override;
 
-  /// The /query path: parse, scatter (two-phase for top-k), hedge, gather,
-  /// merge. Returns the response body; `*status_out` carries the HTTP
-  /// status.
+  /// The /query path: parse, one scatter, hedge, gather, merge. Top-k
+  /// needs no exchange between shards: each shard's local top-k over its
+  /// disjoint documents, merged k-way, is the exact global top-k. Returns
+  /// the response body; `*status_out` carries the HTTP status.
   std::string HandleQuery(const std::string& request_body, int* status_out);
 
   /// The /query_batch path: the whole batch goes to every shard in ONE
   /// backend request (one connection acquisition, one JSON parse, one
   /// deadline budget per shard per batch), each item merges with the exact
-  /// per-item merge, and degraded/partial semantics apply per item. The
-  /// two-phase top-k bound exchange is deliberately skipped: merging
-  /// per-shard local top-k lists over disjoint documents is already the
-  /// exact global top-k — floors are only a work-saver, and would cost a
-  /// second scatter round-trip per batch. Envelope fields: a bare array, or
-  /// {"queries": [...], "require_complete": bool} (require_complete applies
-  /// to every item; per-item occurrences are per-item 400s).
+  /// per-item merge, and degraded/partial semantics apply per item.
+  /// Envelope fields: a bare array, or {"queries": [...],
+  /// "require_complete": bool} (require_complete applies to every item;
+  /// per-item occurrences are per-item 400s).
   std::string HandleQueryBatch(const std::string& request_body,
                                int* status_out);
 
-  /// Coordinator-thread callback fired as each shard's 200 body arrives:
-  /// (shard index, body text, shards still outstanding). Used by the
-  /// two-phase top-k path to raise the global threshold mid-query.
-  using ResponseHook =
-      std::function<void(size_t, const std::string&, const std::vector<size_t>&)>;
-
-  /// Runs the scatter-gather for an already-forwardable shard request.
-  /// `target` is the shard-side endpoint ("/query", "/query_batch").
+  /// Runs the scatter-gather of `forward_body` to every shard's `target`
+  /// endpoint ("/query", "/query_batch").
   std::vector<ShardOutcome> ScatterGather(const std::string& forward_body,
                                           int shard_deadline_ms,
-                                          const ResponseHook& on_response = {},
-                                          const std::string& target = "/query");
+                                          const std::string& target);
 
-  /// Per-shard-body form: `forward_bodies[i]` goes to shard i (the refine
-  /// phase sends each shard its own "skip_documents" resume point). Must
-  /// have exactly one body per shard.
-  std::vector<ShardOutcome> ScatterGather(
-      const std::vector<std::string>& forward_bodies, int shard_deadline_ms,
-      const ResponseHook& on_response = {},
-      const std::string& target = "/query");
-
-  /// Posts fire-and-forget POST /threshold raises to `targets`.
-  void SendThresholdUpdates(const std::vector<size_t>& targets,
-                            const std::string& query_id, double floor);
+  /// Merges one query's shard bodies into `*out` and returns its HTTP
+  /// status: 504 when no shard answered, or when a shard is missing and the
+  /// client asked for a complete answer; 502 when the bodies do not merge;
+  /// 200 with the merged body (carrying "partial" if shards are missing).
+  int MergeShardBodies(std::vector<ShardBody> bodies,
+                       const std::vector<size_t>& missing,
+                       const MergePlan& plan, bool require_complete,
+                       json::Value* out);
 
   int HedgeDelayMs(int shard_deadline_ms) const;
   json::Value RouterMetricsJson() const;
@@ -250,27 +218,9 @@ class Router : private server::HttpDispatcher {
   std::atomic<uint64_t> batches_routed_{0};
   std::atomic<uint64_t> batch_items_routed_{0};
 
-  /// Distributed top-k state: unique per-query ids for the /threshold
-  /// channel, counters, and per-phase latency histograms.
-  std::atomic<uint64_t> query_id_counter_{0};
-  std::atomic<uint64_t> bounds_pushed_{0};
-  std::atomic<uint64_t> threshold_updates_sent_{0};
-  std::atomic<uint64_t> threshold_updates_applied_{0};
-  std::atomic<uint64_t> bound_exchange_fallbacks_{0};
   /// Sum of merged "pairs_rejected_score" over top-k responses — the pairs
-  /// the score bounds (including pushed floors) saved across the fleet.
+  /// the shards' own score bounds rejected across the fleet.
   std::atomic<uint64_t> topk_pairs_rejected_{0};
-  /// Probe bodies merged into final responses (one per shard per query):
-  /// the refine phase resumed after those documents instead of re-evaluating
-  /// them.
-  std::atomic<uint64_t> probe_answers_reused_{0};
-  mutable std::mutex phase_mutex_;
-  server::LatencyHistogram probe_latency_;
-  server::LatencyHistogram refine_latency_;
-  server::LatencyHistogram update_latency_;
-
-  /// Per-instance random tag embedded in generated query ids.
-  std::string query_tag_;
 
   std::thread health_thread_;
   std::mutex health_mutex_;

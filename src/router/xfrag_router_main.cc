@@ -14,9 +14,6 @@
 //     --no-hedging           disable hedged requests
 //     --hedge-delay-ms N     hedge delay before p95 data exists (default 50)
 //     --health-interval-ms N background /healthz period (default 1000, 0=off)
-//     --no-bound-exchange    disable two-phase distributed top-k (ablation)
-//     --probe-documents N    documents per shard in the top-k probe phase
-//                            (default 1)
 //     --batch-max-items N    per-request /query_batch item cap (default 256)
 //     --version              print build info and exit
 //
@@ -50,7 +47,7 @@ int Usage(const char* argv0) {
       "  --host H | --port N | --workers N | --queue N\n"
       "  --shard-deadline-ms MS | --connect-timeout-ms MS\n"
       "  --no-hedging | --hedge-delay-ms MS | --health-interval-ms MS\n"
-      "  --no-bound-exchange | --probe-documents N | --batch-max-items N\n"
+      "  --batch-max-items N\n"
       "  --version\n",
       argv0);
   return 2;
@@ -94,16 +91,8 @@ int main(int argc, char** argv) {
       options.hedge_default_delay_ms = std::atoi(argv[++i]);
     } else if (arg == "--health-interval-ms" && i + 1 < argc) {
       options.health_check_interval_ms = std::atoi(argv[++i]);
-    } else if (arg == "--no-bound-exchange") {
-      options.enable_bound_exchange = false;
     } else if (arg == "--batch-max-items" && i + 1 < argc) {
       options.batch_max_items = static_cast<size_t>(std::atol(argv[++i]));
-    } else if (arg == "--probe-documents" && i + 1 < argc) {
-      options.probe_documents = std::atoi(argv[++i]);
-      if (options.probe_documents < 1) {
-        std::fprintf(stderr, "--probe-documents requires a count >= 1\n");
-        return 2;
-      }
     } else {
       return Usage(argv[0]);
     }

@@ -179,19 +179,6 @@ std::string Server::Dispatch(const HttpRequest& request, bool keep_alive,
     return RenderHttpResponse(outcome.http_status, kJsonType,
                               outcome.body.Dump(), {}, keep_alive);
   }
-  if (target == "/threshold") {
-    if (request.method != "POST") {
-      *status_out = 405;
-      return RenderHttpResponse(
-          405, kJsonType,
-          "{\"error\":\"use POST for /threshold\",\"status\":405}",
-          "Allow: POST\r\n", keep_alive);
-    }
-    QueryOutcome outcome = state->service().HandleThresholdUpdate(request.body);
-    *status_out = outcome.http_status;
-    return RenderHttpResponse(outcome.http_status, kJsonType,
-                              outcome.body.Dump(), {}, keep_alive);
-  }
   if (target == "/admin/reload") {
     if (request.method != "POST") {
       *status_out = 405;
@@ -270,7 +257,6 @@ std::string Server::Dispatch(const HttpRequest& request, bool keep_alive,
       body = http_.stats().ToJson();
       body.Set("fixed_point_cache", state->service().CacheStatsJson());
       body.Set("result_cache", state->service().ResultCacheStatsJson());
-      body.Set("distributed_topk", state->service().DistributedTopKStatsJson());
       body.Set("dag", state->service().DagStatsJson());
       body.Set("batch", state->service().BatchStatsJson());
       body.Set("snapshot", SnapshotMetricsJson(*state));

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <limits>
 #include <set>
 #include <thread>
+#include <unordered_map>
 
 #include "common/cancel.h"
 #include "common/strings.h"
@@ -60,50 +60,6 @@ StatusOr<Strategy> ParseStrategyName(std::string_view name) {
                 static_cast<int>(name.size()), name.data()));
 }
 
-FloorRegistry::Entry::Entry()
-    : floor(-std::numeric_limits<double>::infinity()) {}
-
-std::shared_ptr<FloorRegistry::Entry> FloorRegistry::Register(
-    const std::string& id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(id);
-  if (it == entries_.end()) {
-    if (entries_.size() >= capacity_) return nullptr;
-    it = entries_.emplace(id, std::make_shared<Entry>()).first;
-  }
-  ++it->second->refs;
-  return it->second;
-}
-
-void FloorRegistry::Deregister(const std::string& id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(id);
-  if (it == entries_.end()) return;
-  if (--it->second->refs == 0) entries_.erase(it);
-}
-
-bool FloorRegistry::Raise(const std::string& id, double floor) {
-  std::shared_ptr<Entry> entry;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(id);
-    if (it == entries_.end()) return false;
-    entry = it->second;
-  }
-  // Monotonic maximum: a concurrent raise can only leave a value at least as
-  // high, so losing the CAS and re-reading is always convergent.
-  double current = entry->floor.load(std::memory_order_relaxed);
-  while (floor > current && !entry->floor.compare_exchange_weak(
-                                current, floor, std::memory_order_relaxed)) {
-  }
-  return true;
-}
-
-size_t FloorRegistry::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
 namespace {
 
 // A structured error body: {"error": ..., "code": ...} plus extra fields
@@ -145,12 +101,6 @@ struct ParsedRequest {
   int64_t top_k = -1;        // < 0 = no top-k cutoff
   bool rank = false;         // ranked evaluation ("top_k" implies it)
   bool rank_explicit = false;
-  // Distributed top-k shard protocol (each requires top_k; see service.h).
-  bool has_score_floor = false;
-  double score_floor = 0.0;
-  int64_t probe_documents = -1;  // < 0 = no probe cutoff
-  int64_t skip_documents = 0;    // skip the first N eligible documents
-  std::string query_id;
 };
 
 // Sharing state of one term-connected batch group, threaded into RunParsed
@@ -170,8 +120,7 @@ struct BatchShared {
 namespace {
 
 // True for request fields an XQL "q" query text already specifies — they
-// conflict with "q" (the distributed-top-k shard fields and debug_sleep_ms
-// remain valid alongside it, so routers can wrap "q" items untouched).
+// conflict with "q" (debug_sleep_ms remains valid alongside it).
 bool IsQueryShapingField(std::string_view key) {
   return key == "terms" || key == "filter" || key == "strategy" ||
          key == "answer_mode" || key == "explain" || key == "analyze" ||
@@ -322,32 +271,6 @@ Status DecodeRequest(const json::Value& root, bool allow_debug_sleep,
       }
       out->rank = value.AsBool();
       out->rank_explicit = true;
-    } else if (key == "score_floor") {
-      if (!value.is_number() || !std::isfinite(value.AsDouble())) {
-        return Status::InvalidArgument(
-            "\"score_floor\" must be a finite number");
-      }
-      out->has_score_floor = true;
-      out->score_floor = value.AsDouble();
-    } else if (key == "probe_documents") {
-      if (!value.is_integral() || value.AsInt() < 1) {
-        return Status::InvalidArgument(
-            "\"probe_documents\" must be a positive integer");
-      }
-      out->probe_documents = value.AsInt();
-    } else if (key == "skip_documents") {
-      if (!value.is_integral() || value.AsInt() < 1) {
-        return Status::InvalidArgument(
-            "\"skip_documents\" must be a positive integer");
-      }
-      out->skip_documents = value.AsInt();
-    } else if (key == "query_id") {
-      if (!value.is_string() || value.AsString().empty() ||
-          value.AsString().size() > 128) {
-        return Status::InvalidArgument(
-            "\"query_id\" must be a non-empty string of at most 128 bytes");
-      }
-      out->query_id = value.AsString();
     } else if (key == "debug_sleep_ms" && allow_debug_sleep) {
       if (!value.is_number() || value.AsDouble() < 0) {
         return Status::InvalidArgument(
@@ -369,39 +292,6 @@ Status DecodeRequest(const json::Value& root, bool allow_debug_sleep,
           "ranked by definition)");
     }
     out->rank = true;
-  }
-  // Distributed top-k fields only make sense under a bounded k, and a probe
-  // is by construction the phase that *produces* the floor, so it may carry
-  // neither a floor nor an update channel.
-  if (out->top_k < 0) {
-    if (out->has_score_floor) {
-      return Status::InvalidArgument("\"score_floor\" requires \"top_k\"");
-    }
-    if (out->probe_documents >= 0) {
-      return Status::InvalidArgument(
-          "\"probe_documents\" requires \"top_k\"");
-    }
-    if (out->skip_documents > 0) {
-      return Status::InvalidArgument(
-          "\"skip_documents\" requires \"top_k\"");
-    }
-    if (!out->query_id.empty()) {
-      return Status::InvalidArgument("\"query_id\" requires \"top_k\"");
-    }
-  }
-  if (out->probe_documents >= 0 && out->has_score_floor) {
-    return Status::InvalidArgument(
-        "\"probe_documents\" conflicts with \"score_floor\"");
-  }
-  if (out->probe_documents >= 0 && !out->query_id.empty()) {
-    return Status::InvalidArgument(
-        "\"probe_documents\" conflicts with \"query_id\"");
-  }
-  // A probe evaluates the first documents; a resume skips them. One request
-  // cannot be both halves of the split.
-  if (out->probe_documents >= 0 && out->skip_documents > 0) {
-    return Status::InvalidArgument(
-        "\"probe_documents\" conflicts with \"skip_documents\"");
   }
   return Status::OK();
 }
@@ -439,17 +329,6 @@ std::string ResultCacheKey(const ParsedRequest& request) {
   key += request.include_xml ? "\x1f" "x" : "\x1f";
   key += request.explain ? "\x1f" "e" : "\x1f";
   key += request.eval.analyze ? "\x1f" "a" : "\x1f";
-  // Distributed top-k: the floor and probe cutoff shape the body, so they
-  // key it. "query_id" deliberately does not — it only opens the live-update
-  // channel, and any body produced under a sound floor merges to the
-  // identical global top-k (docs/SERVING.md), so serving a cached variant
-  // across query ids is exact.
-  key += '\x1f';
-  if (request.has_score_floor) key += StrFormat("%.17g", request.score_floor);
-  key += '\x1f';
-  key += StrFormat("%lld", static_cast<long long>(request.probe_documents));
-  key += '\x1f';
-  key += StrFormat("%lld", static_cast<long long>(request.skip_documents));
   // Explicit-plan queries key on the plan's rendering; canonical queries
   // leave the segment empty so a JSON request and its equivalent XQL text
   // share one cache entry.
@@ -489,9 +368,7 @@ bool OutranksHit(const RankedHit& a, const RankedHit& b) {
 
 QueryService::QueryService(const collection::Collection& collection,
                            ServiceOptions options)
-    : collection_(collection),
-      options_(options),
-      floor_registry_(options.floor_registry_capacity) {
+    : collection_(collection), options_(options) {
   caches_.reserve(collection_.size());
   std::unordered_map<doc::SubtreeClassId, size_t> root_class_counts;
   for (size_t i = 0; i < collection_.size(); ++i) {
@@ -551,15 +428,6 @@ QueryOutcome QueryService::HandleQuery(std::string_view body_text) const {
       outcome.body.Set(key, value);
     }
     return outcome;
-  }
-  if (request.has_score_floor) {
-    floors_seeded_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (request.probe_documents >= 0) {
-    probe_requests_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (request.skip_documents > 0) {
-    resume_requests_.fetch_add(1, std::memory_order_relaxed);
   }
   return RunParsed(request, timer, nullptr);
 }
@@ -629,25 +497,10 @@ QueryOutcome QueryService::RunParsed(ParsedRequest& request,
                                   : std::numeric_limits<int64_t>::max();
   std::vector<RankedHit> hits;
 
-  // Distributed top-k: open the live-update channel for the query's id (the
-  // registration must precede the first evaluation so no raise is lost), and
-  // prepare the cross-document floor. Both only ever *raise* the bound each
-  // collector prunes against; soundness arguments in docs/SERVING.md.
-  std::shared_ptr<FloorRegistry::Entry> live_entry;
-  if (!request.query_id.empty()) {
-    live_entry = floor_registry_.Register(request.query_id);
-  }
-  struct RegistryGuard {
-    FloorRegistry* registry = nullptr;
-    const std::string* id = nullptr;
-    ~RegistryGuard() {
-      if (registry != nullptr) registry->Deregister(*id);
-    }
-  } registry_guard{live_entry != nullptr ? &floor_registry_ : nullptr,
-                   &request.query_id};
   // The running k best scores across already-evaluated documents: once k
   // answers are known, the smallest of them is a sound floor for every later
-  // document (its witnesses are real answers of this very query).
+  // document (its witnesses are real answers of this very query), so the
+  // bound each collector prunes against only ever rises (docs/SERVING.md).
   const bool self_seed =
       options_.enable_cross_document_floor && request.top_k > 0;
   std::multiset<double> best_scores;
@@ -662,18 +515,7 @@ QueryOutcome QueryService::RunParsed(ParsedRequest& request,
   std::unordered_map<doc::SubtreeClassId, StoredDocResult> evaluated_classes;
   size_t documents_deduplicated = 0;
 
-  // Resume half of a probe/resume split: pass over the first N eligible
-  // documents without evaluating them. Counter bookkeeping is exactly
-  // complementary to the probe's (which breaks right after its N-th eligible
-  // evaluation): ineligible documents ahead of the resume point were already
-  // counted by the probe, so the probe body and the resume body sum to the
-  // single-request counters field by field.
-  int64_t resume_skip = request.skip_documents;
   for (size_t i = 0; i < collection_.size(); ++i) {
-    if (request.probe_documents >= 0 &&
-        documents_evaluated >= static_cast<size_t>(request.probe_documents)) {
-      break;  // Probe: the first N eligible documents only.
-    }
     const collection::CollectionEntry& entry = collection_.entry(i);
     // Conjunctive pre-check, as in CollectionEngine: a document missing any
     // term cannot contribute answers, so skip it without building a plan.
@@ -703,11 +545,7 @@ QueryOutcome QueryService::RunParsed(ParsedRequest& request,
       }
     }
     if (!has_all_terms) {
-      if (resume_skip <= 0) ++documents_skipped;
-      continue;
-    }
-    if (resume_skip > 0) {
-      --resume_skip;
+      ++documents_skipped;
       continue;
     }
 
@@ -758,17 +596,8 @@ QueryOutcome QueryService::RunParsed(ParsedRequest& request,
       eval.executor.scan_memo_document = i;
     }
     if (ranked_mode) eval.top_k = effective_k;
-    if (request.has_score_floor) {
-      eval.executor.score_floor = request.score_floor;
-    }
     if (self_seed && best_scores.size() >= static_cast<size_t>(request.top_k)) {
-      double running_kth = *best_scores.begin();
-      if (running_kth > eval.executor.score_floor) {
-        eval.executor.score_floor = running_kth;
-      }
-    }
-    if (live_entry != nullptr) {
-      eval.executor.live_score_floor = &live_entry->floor;
+      eval.executor.score_floor = *best_scores.begin();
     }
     OpMetrics partial;
     eval.metrics_sink = &partial;
@@ -860,8 +689,6 @@ QueryOutcome QueryService::RunParsed(ParsedRequest& request,
     body.Set("ranked", true);
     if (request.top_k >= 0) body.Set("top_k", request.top_k);
   }
-  if (request.probe_documents >= 0) body.Set("probe", true);
-  if (request.skip_documents > 0) body.Set("resume", true);
   body.Set("documents", static_cast<uint64_t>(collection_.size()));
   body.Set("documents_evaluated", static_cast<uint64_t>(documents_evaluated));
   body.Set("documents_skipped", static_cast<uint64_t>(documents_skipped));
@@ -937,10 +764,9 @@ QueryOutcome QueryService::HandleQueryBatch(std::string_view body_text) const {
     bool result_cache_hit = false;
   };
   std::vector<Item> items(queries->size());
-  // Decode every item up front, in submission order, so the distributed
-  // top-k observability counters tick exactly as N sequential /query
-  // requests would have ticked them. A malformed item becomes a per-item
-  // structured 400 — it never poisons the rest of the batch.
+  // Decode every item up front, in submission order. A malformed item
+  // becomes a per-item structured 400 — it never poisons the rest of the
+  // batch.
   std::vector<size_t> runnable;  // original index per runnable position
   for (size_t i = 0; i < queries->size(); ++i) {
     Item& item = items[i];
@@ -955,15 +781,6 @@ QueryOutcome QueryService::HandleQueryBatch(std::string_view body_text) const {
         item.body.Set(key, value);
       }
       continue;
-    }
-    if (item.request.has_score_floor) {
-      floors_seeded_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (item.request.probe_documents >= 0) {
-      probe_requests_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (item.request.skip_documents > 0) {
-      resume_requests_.fetch_add(1, std::memory_order_relaxed);
     }
     item.runnable = true;
     runnable.push_back(i);
@@ -1064,79 +881,6 @@ QueryOutcome QueryService::HandleQueryBatch(std::string_view body_text) const {
     batch_sizes_.Record(items.size());
   }
   return outcome;
-}
-
-QueryOutcome QueryService::HandleThresholdUpdate(
-    std::string_view body_text) const {
-  floor_updates_received_.fetch_add(1, std::memory_order_relaxed);
-  size_t error_offset = 0;
-  auto root = json::Parse(body_text, &error_offset);
-  if (!root.ok()) {
-    QueryOutcome outcome = ErrorOutcome(root.status());
-    outcome.body.Set("offset", static_cast<uint64_t>(error_offset));
-    return outcome;
-  }
-  if (!root->is_object()) {
-    return ErrorOutcome(
-        Status::InvalidArgument("request body must be a JSON object"));
-  }
-  std::string query_id;
-  bool has_floor = false;
-  double floor = 0.0;
-  for (const auto& [key, value] : root->members()) {
-    if (key == "query_id") {
-      if (!value.is_string() || value.AsString().empty() ||
-          value.AsString().size() > 128) {
-        return ErrorOutcome(Status::InvalidArgument(
-            "\"query_id\" must be a non-empty string of at most 128 bytes"));
-      }
-      query_id = value.AsString();
-    } else if (key == "score_floor") {
-      if (!value.is_number() || !std::isfinite(value.AsDouble())) {
-        return ErrorOutcome(Status::InvalidArgument(
-            "\"score_floor\" must be a finite number"));
-      }
-      has_floor = true;
-      floor = value.AsDouble();
-    } else {
-      return ErrorOutcome(Status::InvalidArgument(
-          StrFormat("unknown request field \"%s\"", key.c_str())));
-    }
-  }
-  if (query_id.empty()) {
-    return ErrorOutcome(
-        Status::InvalidArgument("missing required field \"query_id\""));
-  }
-  if (!has_floor) {
-    return ErrorOutcome(
-        Status::InvalidArgument("missing required field \"score_floor\""));
-  }
-  // An unknown id is a normal race (the query already answered), not an
-  // error: the router fires updates without awaiting them.
-  bool updated = floor_registry_.Raise(query_id, floor);
-  if (updated) floor_updates_applied_.fetch_add(1, std::memory_order_relaxed);
-  QueryOutcome outcome;
-  outcome.http_status = 200;
-  outcome.body = json::Value::Object();
-  outcome.body.Set("updated", updated);
-  return outcome;
-}
-
-json::Value QueryService::DistributedTopKStatsJson() const {
-  json::Value body = json::Value::Object();
-  body.Set("floors_seeded",
-           floors_seeded_.load(std::memory_order_relaxed));
-  body.Set("probe_requests",
-           probe_requests_.load(std::memory_order_relaxed));
-  body.Set("resume_requests",
-           resume_requests_.load(std::memory_order_relaxed));
-  body.Set("floor_updates_received",
-           floor_updates_received_.load(std::memory_order_relaxed));
-  body.Set("floor_updates_applied",
-           floor_updates_applied_.load(std::memory_order_relaxed));
-  body.Set("active_floor_entries",
-           static_cast<uint64_t>(floor_registry_.size()));
-  return body;
 }
 
 json::Value QueryService::BatchStatsJson() const {

@@ -15,11 +15,7 @@
 //     "xml": false,                          // render each answer as XML
 //     "max_answers": 100,                    // truncate the answer array
 //     "top_k": 10,                           // k best-ranked answers only
-//     "rank": true,                          // rank (all) answers by score
-//     "score_floor": 1.25,                   // distributed top-k seed bound
-//     "probe_documents": 1,                  // top-k probe: first N docs only
-//     "skip_documents": 1,                   // resume after an N-doc probe
-//     "query_id": "q-42"                     // accept POST /threshold updates
+//     "rank": true                           // rank (all) answers by score
 //   }
 // Unknown fields are rejected with a structured 400 — a misspelled option
 // must never be silently ignored.
@@ -33,24 +29,8 @@
 // "strategy: explicit"). "q" conflicts with every query-shaping field
 // (terms, filter, strategy, answer_mode, explain, analyze, xml,
 // max_answers, top_k, rank, deadline_ms) — the text already specifies
-// them — but composes with the distributed top-k shard fields below, so
-// routers can forward "q" bodies untouched. A malformed "q" yields a
-// structured 400 whose body carries the byte "offset" and a caret
-// "snippet" pointing at the error.
-//
-// The last four fields are the distributed top-k shard protocol
-// (docs/SERVING.md, "Distributed top-k"); each requires "top_k", and
-// "probe_documents" conflicts with "score_floor", "skip_documents", and
-// "query_id". "score_floor" is the caller's promise that k answers scoring
-// at or above it exist globally; the evaluation prunes strictly-below
-// candidates, and the response is the node's top-k filtered to
-// score >= floor. "skip_documents": N passes over the first N eligible
-// documents without evaluating them — the resume half of a probe/resume
-// split: a probe response covering those N documents plus the resume
-// response partition the corpus exactly (counters sum field by field, and
-// the union of the two answer streams contains the node's true top k).
-// "query_id" registers the query to receive mid-flight floor raises via
-// POST /threshold {"query_id": ..., "score_floor": ...} → {"updated": bool}.
+// them. A malformed "q" yields a structured 400 whose body carries the byte
+// "offset" and a caret "snippet" pointing at the error.
 //
 // "top_k" asks for exactly the k best answers by the engine's ranking
 // (docs/SERVING.md) and implies "rank": true; the evaluation itself runs
@@ -69,7 +49,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -115,10 +94,6 @@ struct ServiceOptions {
   /// never answers; tests that compare metrics byte-for-byte across
   /// different document partitions turn it off.
   bool enable_cross_document_floor = true;
-  /// Capacity of the live-floor registry (concurrent queries carrying
-  /// "query_id"); registrations beyond it are refused, which only disables
-  /// mid-flight updates for those queries, never correctness.
-  size_t floor_registry_capacity = 4096;
   /// Maximum items one POST /query_batch request may carry; a larger batch
   /// is rejected whole with a structured 400 (the batch holds exactly one
   /// admission slot, so the cap bounds the work a slot can claim).
@@ -132,42 +107,6 @@ struct ServiceOptions {
   /// eviction order when a cache is at capacity (entries kept may differ,
   /// bodies never do).
   unsigned batch_parallelism = 1;
-};
-
-/// \brief Registry of per-query live score floors, keyed by "query_id".
-///
-/// A query carrying "query_id" registers an entry whose atomic floor its
-/// collectors read during evaluation; POST /threshold raises it mid-flight.
-/// Entries are refcounted (identical ids share one floor) and vanish with
-/// their last registrant, so an update for a finished query is a no-op.
-/// Thread-safe.
-class FloorRegistry {
- public:
-  struct Entry {
-    std::atomic<double> floor;
-    size_t refs = 0;
-    Entry();
-  };
-
-  explicit FloorRegistry(size_t capacity) : capacity_(capacity) {}
-
-  /// Registers `id`; returns the shared floor entry, or nullptr when the
-  /// registry is at capacity. Pair every successful call with Deregister.
-  std::shared_ptr<Entry> Register(const std::string& id);
-
-  /// Drops one registration of `id`; the entry dies with the last one.
-  void Deregister(const std::string& id);
-
-  /// Raises `id`'s floor to at least `floor` (monotonic CAS — concurrent
-  /// raises keep the maximum). False iff no such query is registered.
-  bool Raise(const std::string& id, double floor);
-
-  size_t size() const;
-
- private:
-  size_t capacity_;
-  mutable std::mutex mu_;
-  std::unordered_map<std::string, std::shared_ptr<Entry>> entries_;
 };
 
 struct ParsedRequest;  // service.cc: one decoded /query request
@@ -208,14 +147,6 @@ class QueryService {
   /// errors (unparseable body, not an array, empty, above batch_max_items)
   /// are a structured 400 for the whole request.
   QueryOutcome HandleQueryBatch(std::string_view body_text) const;
-
-  /// \brief Handles one POST /threshold body ({"query_id", "score_floor"}):
-  /// raises the registered query's live floor. Replies {"updated": bool};
-  /// an unknown query_id is not an error (the query already finished).
-  QueryOutcome HandleThresholdUpdate(std::string_view body_text) const;
-
-  /// Distributed top-k counters, merged into GET /metrics output.
-  json::Value DistributedTopKStatsJson() const;
 
   /// Batch-execution counters (batch-size histogram, sharing counters),
   /// merged into GET /metrics output as the "batch" section.
@@ -270,14 +201,6 @@ class QueryService {
   /// deduplicated, so requests over a duplicate-free collection skip the
   /// replay bookkeeping (no result copies, no map) entirely.
   std::unordered_set<doc::SubtreeClassId> duplicate_root_classes_;
-  /// Live floors for in-flight queries carrying "query_id".
-  mutable FloorRegistry floor_registry_;
-  /// Distributed top-k observability (GET /metrics).
-  mutable std::atomic<uint64_t> floors_seeded_{0};
-  mutable std::atomic<uint64_t> probe_requests_{0};
-  mutable std::atomic<uint64_t> resume_requests_{0};
-  mutable std::atomic<uint64_t> floor_updates_received_{0};
-  mutable std::atomic<uint64_t> floor_updates_applied_{0};
   /// DAG-compression observability (GET /metrics): documents served by
   /// replaying a byte-identical representative, and the kernel-level replay
   /// counters accumulated across successful /query requests.

@@ -349,22 +349,5 @@ TEST(SeededFloorTest, AuditDistinguishesHarmlessFromLossyRejections) {
   EXPECT_FALSE(lossy.FloorAuditClean());  // heap never filled: answer lost
 }
 
-TEST(SeededFloorTest, LiveFloorRaisesPruningMidStream) {
-  std::atomic<double> live{-1e300};
-  TopKCollector collector(2);
-  collector.AttachLiveFloor(&live);
-  EXPECT_EQ(collector.live_floor(), &live);
-  EXPECT_TRUE(collector.Offer(Single(1), 1.0));  // floor not raised yet
-  live.store(2.0, std::memory_order_relaxed);    // remote shard reports 2.0
-  EXPECT_FALSE(collector.CouldAccept(1.5));
-  EXPECT_FALSE(collector.Offer(Single(2), 1.5));
-  EXPECT_TRUE(collector.Offer(Single(3), 2.0));  // ties the floor: kept
-  EXPECT_TRUE(collector.Offer(Single(4), 9.0));
-  auto sorted = collector.TakeSorted();
-  ASSERT_EQ(sorted.size(), 2u);
-  EXPECT_EQ(sorted[0].fragment, Single(4));
-  EXPECT_EQ(sorted[1].fragment, Single(3));
-}
-
 }  // namespace
 }  // namespace xfrag::algebra

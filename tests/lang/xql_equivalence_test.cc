@@ -233,11 +233,6 @@ TEST(XqlEquivalenceTest, QConflictsWithQueryShapingFields) {
               std::string::npos)
         << request;
   }
-  // Distributed top-k shard fields compose with "q" (routers forward
-  // requests untouched): score_floor narrows but never errors.
-  QueryOutcome composed = service.HandleQuery(
-      R"({"q":"{xquery} TOP 2","score_floor":0.0,"query_id":"t1"})");
-  EXPECT_EQ(composed.http_status, 200) << composed.body.Dump();
 }
 
 TEST(XqlEquivalenceTest, BatchMixesQAndJsonItems) {

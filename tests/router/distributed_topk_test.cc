@@ -1,31 +1,29 @@
-// The distributed top-k equivalence suite: the router's two-phase bound
-// exchange (probe → global k-th-score floor → refine with "score_floor" +
-// mid-query POST /threshold raises) is a pure work saver — answers must be
-// byte-identical to a single combined xfragd with the exchange on AND off,
-// over randomized queries, shard counts {1, 2, 4}, k in {1, 3, 10, 50}, and
-// a deliberately ties-heavy corpus (replicated document shapes, so score
-// ties straddle shard boundaries and floors equal real answer scores).
+// The distributed top-k exactness oracle: /query with "top_k" is ONE scatter
+// of the client body and an exact k-way merge. Shards hold disjoint
+// documents and the engine ranks one document at a time, so each shard's
+// local top-k, merged, is the global top-k; no bound travels between shards.
 //
-// Work metrics legitimately differ under the exchange (that is the point),
-// so comparisons here normalize "metrics" away; the strict metric-inclusive
-// contract lives in router_integration_test.cc with the exchange disabled.
+// The property suite runs shard counts {1, 2, 3, 4} × k {1, 3, 10} × seeds,
+// with randomized JSON queries and their XQL `TOP k` forms, and demands the
+// router's body be byte-identical to one combined QueryService over the
+// whole corpus (after dropping the timing and the work "metrics", which the
+// shards' engine-local floors legitimately change). The corpus replicates
+// three document shapes four times each, so every score occurs a multiple
+// of four times and a tie always straddles the k-th rank (4 ∤ k): the tests
+// check that the tie is really there before trusting the merge with it.
 //
-// Fault injection rides along: a shard killed before or during the exchange
-// must yield either the complete byte-identical answer or an exact partial
-// (the true top-k over the surviving shards' documents) — never a wrong
-// result — and dropped threshold updates must be harmless. The POST
-// /threshold endpoint contract (unknown ids, strict 400s) is pinned here
-// too. Everything is loopback and hermetic, so the whole file runs under
-// TSan (scripts/check.sh router stage).
+// Degraded mode rides along: a dead shard yields the exact top-k of the
+// survivors, and the retired exchange fields are 400s. Everything is
+// loopback and hermetic, so the file runs under TSan (`ctest -L router`).
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "collection/collection.h"
@@ -36,23 +34,26 @@
 #include "server/http.h"
 #include "server/net.h"
 #include "server/server.h"
+#include "server/service.h"
 
 namespace xfrag::router {
 namespace {
 
-constexpr size_t kTotalDocs = 16;
+constexpr size_t kShapes = 3;
+constexpr size_t kReplicas = 4;
+constexpr size_t kTotalDocs = kShapes * kReplicas;  // splits over 1–4 shards
 
 const char* Word(size_t n) {
   static const char* vocab[] = {"algebra", "query",   "fragment",
                                 "ranking", "xml",     "join"};
   return vocab[n % (sizeof(vocab) / sizeof(vocab[0]))];
 }
+constexpr size_t kVocabulary = 6;
 
-/// Ties-heavy document `i`: only four distinct bodies replicated across the
-/// corpus, so identical fragments (and identical scores) appear on every
-/// shard and the global k-th score is usually a multi-way tie.
+/// Document `i` has shape i % kShapes: identical fragments, hence identical
+/// scores, recur on every shard, and each score recurs kReplicas times.
 std::string MakeTiesDoc(size_t i) {
-  size_t shape = i % 4;
+  size_t shape = i % kShapes;
   std::string xml = StrFormat("<paper><title>%s %s</title>", Word(shape),
                               Word(shape + 2));
   size_t sections = 2 + shape % 2;
@@ -70,8 +71,8 @@ std::string MakeTiesDoc(size_t i) {
 
 class DistributedTopKTestBase : public ::testing::Test {
  protected:
-  /// Builds the 16-document corpus partitioned contiguously over
-  /// `shard_count` shards, plus the combined single-node collection.
+  /// Builds the corpus partitioned contiguously over `shard_count` shards,
+  /// plus the combined single-node collection.
   void BuildCorpus(size_t shard_count) {
     ASSERT_EQ(kTotalDocs % shard_count, 0u);
     docs_per_shard_ = kTotalDocs / shard_count;
@@ -91,19 +92,18 @@ class DistributedTopKTestBase : public ::testing::Test {
   }
 
   std::unique_ptr<server::Server> StartNode(
-      const collection::Collection& collection,
-      server::ServerOptions options = {}) {
-    auto node = std::make_unique<server::Server>(collection, options);
+      const collection::Collection& collection) {
+    auto node = std::make_unique<server::Server>(collection,
+                                                 server::ServerOptions{});
     auto started = node->Start();
     EXPECT_TRUE(started.ok()) << started.ToString();
     return node;
   }
 
-  std::vector<std::unique_ptr<server::Server>> StartShards(
-      server::ServerOptions options = {}) {
+  std::vector<std::unique_ptr<server::Server>> StartShards() {
     std::vector<std::unique_ptr<server::Server>> shards;
     for (auto& collection : shard_collections_) {
-      shards.push_back(StartNode(*collection, options));
+      shards.push_back(StartNode(*collection));
     }
     return shards;
   }
@@ -123,49 +123,33 @@ class DistributedTopKTestBase : public ::testing::Test {
     return map;
   }
 
-  static std::unique_ptr<Router> StartRouter(ShardMap map,
-                                             RouterOptions options) {
+  /// Hedging and health probes off: every client /query is then exactly one
+  /// /query per shard, which the suite counts.
+  static std::unique_ptr<Router> StartRouter(ShardMap map) {
+    RouterOptions options;
+    options.enable_hedging = false;
+    options.health_check_interval_ms = 0;
     auto router = std::make_unique<Router>(std::move(map), options);
     auto started = router->Start();
     EXPECT_TRUE(started.ok()) << started.ToString();
     return router;
   }
 
-  /// Hedging and health probes off: this suite isolates the bound exchange.
-  static RouterOptions QuietRouterOptions() {
-    RouterOptions options;
-    options.enable_hedging = false;
-    options.health_check_interval_ms = 0;
-    return options;
-  }
-
   static StatusOr<server::HttpResponse> Post(uint16_t port,
-                                             const std::string& path,
-                                             const std::string& body,
-                                             int timeout_ms = 30000) {
+                                             const std::string& body) {
     std::string request = StrFormat(
-        "POST %s HTTP/1.1\r\nHost: t\r\nContent-Length: %zu\r\n"
+        "POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: %zu\r\n"
         "Connection: close\r\n\r\n",
-        path.c_str(), body.size());
+        body.size());
     request += body;
-    auto raw = server::HttpRoundTrip("127.0.0.1", port, request, timeout_ms);
-    if (!raw.ok()) return raw.status();
-    return server::ParseHttpResponse(*raw);
-  }
-
-  static StatusOr<server::HttpResponse> Get(uint16_t port,
-                                            const std::string& path) {
-    std::string request = StrFormat(
-        "GET %s HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
-        path.c_str());
     auto raw = server::HttpRoundTrip("127.0.0.1", port, request);
     if (!raw.ok()) return raw.status();
     return server::ParseHttpResponse(*raw);
   }
 
-  /// The answer-exactness normalization: zero the timing and drop the work
-  /// "metrics" (the exchange changes work, never answers). Everything else —
-  /// answers, scores, order, counts, truncation — must agree byte for byte.
+  /// The exactness normalization: zero the timing and drop the work
+  /// "metrics". Everything else — answers, scores, order, counts,
+  /// truncation — must agree byte for byte.
   static std::string NormalizedTopK(const std::string& body) {
     auto parsed = json::Parse(body);
     EXPECT_TRUE(parsed.ok()) << body;
@@ -175,10 +159,9 @@ class DistributedTopKTestBase : public ::testing::Test {
     return parsed->Dump();
   }
 
-  /// The "answers" array alone, for comparisons where the top-level corpus
-  /// fields legitimately differ (partial results vs a survivors-only node).
-  /// "document_index" is dropped too: the survivors-only oracle renumbers
-  /// its documents, while names, fragments, and scores must agree exactly.
+  /// The "answers" array alone, without "document_index" — for comparing a
+  /// partial result with a survivors-only node, which renumbers documents
+  /// while names, fragments, and scores must agree exactly.
   static std::string AnswersOnly(const std::string& body) {
     auto parsed = json::Parse(body);
     EXPECT_TRUE(parsed.ok()) << body;
@@ -197,163 +180,174 @@ class DistributedTopKTestBase : public ::testing::Test {
     return normalized.Dump();
   }
 
-  static int64_t FragmentJoins(const std::string& body) {
-    auto parsed = json::Parse(body);
-    EXPECT_TRUE(parsed.ok()) << body;
-    if (!parsed.ok()) return -1;
-    const json::Value* metrics = parsed->Find("metrics");
-    EXPECT_NE(metrics, nullptr) << body;
-    if (metrics == nullptr) return -1;
-    return metrics->Find("fragment_joins")->AsInt();
-  }
-
-  /// One randomized ranked query with the given k. No "explain" here (the
-  /// strict suite covers it); term/filter/strategy/max_answers all vary.
-  static std::string RandomTopKBody(Rng* rng, int64_t k) {
-    json::Value body = json::Value::Object();
-    json::Value terms = json::Value::Array();
-    size_t term_count = 1 + rng->Uniform(2);
-    for (size_t t = 0; t < term_count; ++t) {
-      terms.Append(std::string(Word(rng->Uniform(6))));
-    }
-    body.Set("terms", std::move(terms));
-    if (rng->Chance(0.3)) {
-      static const char* filters[] = {"size<=3", "height<=2", "size<=5"};
-      body.Set("filter", std::string(filters[rng->Uniform(3)]));
-    }
-    if (rng->Chance(0.4)) {
-      static const char* strategies[] = {"pushdown", "reduced", "naive"};
-      body.Set("strategy", std::string(strategies[rng->Uniform(3)]));
-    }
-    if (rng->Chance(0.5)) body.Set("rank", true);
-    body.Set("top_k", k);
-    if (rng->Chance(0.2)) {
-      body.Set("max_answers", static_cast<int64_t>(rng->Uniform(5)));
-    }
-    return body.Dump();
-  }
-
-  static bool WaitUntil(const std::function<bool()>& pred, int timeout_ms) {
-    auto deadline = std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(timeout_ms);
-    while (std::chrono::steady_clock::now() < deadline) {
-      if (pred()) return true;
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    return pred();
-  }
-
   std::unique_ptr<collection::Collection> combined_;
   std::vector<std::unique_ptr<collection::Collection>> shard_collections_;
   size_t docs_per_shard_ = 0;
 };
 
-class DistributedTopKTest : public DistributedTopKTestBase,
-                            public ::testing::WithParamInterface<size_t> {
- protected:
-  void SetUp() override { BuildCorpus(GetParam()); }
+/// One query in both request forms.
+struct TopKQuery {
+  std::string json;
+  std::string xql;
 };
 
-// The core distributed-equivalence contract: for every shard count and every
-// k, the router's top-k — exchange on and exchange off — is byte-identical
-// to the combined node after dropping the work metrics, and across the run
-// the exchange materializes no more joins than the plain scatter.
-TEST_P(DistributedTopKTest, RandomizedTopKByteIdenticalExchangeOnAndOff) {
-  auto combined_node = StartNode(*combined_);
-  auto shards = StartShards();
-  RouterOptions exchange_off = QuietRouterOptions();
-  exchange_off.enable_bound_exchange = false;
-  auto router_on = StartRouter(MapFor(shards), QuietRouterOptions());
-  auto router_off = StartRouter(MapFor(shards), exchange_off);
-
-  Rng rng(0xd15e ^ GetParam());
-  int compared = 0;
-  int64_t joins_on = 0;
-  int64_t joins_off = 0;
-  for (int64_t k : {int64_t{1}, int64_t{3}, int64_t{10}, int64_t{50}}) {
-    for (int q = 0; q < 18; ++q) {
-      std::string body = RandomTopKBody(&rng, k);
-      // Warm the shards' fixed-point caches through both routers first: the
-      // join-count comparison below must reflect floor pruning, not which
-      // router happened to pay the one-time closure cost.
-      (void)Post(router_on->port(), "/query", body);
-      (void)Post(router_off->port(), "/query", body);
-      auto from_combined = Post(combined_node->port(), "/query", body);
-      auto from_on = Post(router_on->port(), "/query", body);
-      auto from_off = Post(router_off->port(), "/query", body);
-      ASSERT_TRUE(from_combined.ok()) << from_combined.status().ToString();
-      ASSERT_TRUE(from_on.ok()) << from_on.status().ToString();
-      ASSERT_TRUE(from_off.ok()) << from_off.status().ToString();
-      ASSERT_EQ(from_on->status, 200) << body << "\n" << from_on->body;
-      ASSERT_EQ(from_off->status, 200) << body;
-      ASSERT_EQ(from_combined->status, 200) << body;
-      std::string want = NormalizedTopK(from_combined->body);
-      EXPECT_EQ(NormalizedTopK(from_on->body), want)
-          << "exchange on, k=" << k << ": " << body;
-      EXPECT_EQ(NormalizedTopK(from_off->body), want)
-          << "exchange off, k=" << k << ": " << body;
-      // The exchange is a work saver: across the run it must materialize no
-      // more joins than the plain scatter. (Aggregate, not per query — the
-      // resume phase's self-seeded floor restarts after the probe documents,
-      // so a single query may locally do a handful of extra joins.)
-      joins_on += FragmentJoins(from_on->body);
-      joins_off += FragmentJoins(from_off->body);
-      ++compared;
-    }
+/// A randomized ranked query with the given k: one or two distinct terms,
+/// and optionally a filter, a strategy, "rank": true, and a LIMIT.
+TopKQuery RandomTopKQuery(Rng* rng, int64_t k) {
+  json::Value body = json::Value::Object();
+  json::Value terms = json::Value::Array();
+  const size_t first = rng->Uniform(kVocabulary);
+  std::string term_list = Word(first);
+  terms.Append(std::string(Word(first)));
+  if (rng->Chance(0.5)) {
+    const size_t second = first + 1 + rng->Uniform(kVocabulary - 1);
+    terms.Append(std::string(Word(second)));
+    term_list += StrFormat(", %s", Word(second));
   }
-  EXPECT_GE(compared, 72);
-  EXPECT_LE(joins_on, joins_off);
-
-  if (GetParam() > 1) {
-    // The exchange actually engaged: probes yielded floors that were pushed.
-    EXPECT_GT(router_on->bounds_pushed(), 0u);
+  body.Set("terms", std::move(terms));
+  std::string xql = "{" + term_list + "}";
+  if (rng->Chance(0.3)) {
+    static const char* filters[] = {"size<=3", "height<=2", "size<=5"};
+    const char* filter = filters[rng->Uniform(3)];
+    body.Set("filter", std::string(filter));
+    xql += StrFormat(" WHERE %s", filter);
   }
-  EXPECT_EQ(router_off->bounds_pushed(), 0u);
-  // Fire-and-forget raises may be dropped, never over-counted.
-  EXPECT_GE(router_on->threshold_updates_sent(),
-            router_on->threshold_updates_applied());
-  EXPECT_EQ(router_on->bound_exchange_fallbacks(), 0u);
-  EXPECT_EQ(router_on->partials_served(), 0u);
-
-  router_on->Shutdown();
-  router_off->Shutdown();
-  for (auto& shard : shards) shard->Shutdown();
-  combined_node->Shutdown();
+  if (rng->Chance(0.4)) {
+    static const char* strategies[] = {"pushdown", "reduced", "naive"};
+    const char* strategy = strategies[rng->Uniform(3)];
+    body.Set("strategy", std::string(strategy));
+    xql += StrFormat(" USING %s", strategy);
+  }
+  if (rng->Chance(0.5)) {
+    body.Set("rank", true);
+    xql += " RANK";
+  }
+  body.Set("top_k", k);
+  xql += StrFormat(" TOP %lld", static_cast<long long>(k));
+  if (rng->Chance(0.2)) {
+    const int64_t limit = static_cast<int64_t>(rng->Uniform(5));
+    body.Set("max_answers", limit);
+    xql += StrFormat(" LIMIT %lld", static_cast<long long>(limit));
+  }
+  json::Value xql_body = json::Value::Object();
+  xql_body.Set("q", xql);
+  return TopKQuery{body.Dump(), xql_body.Dump()};
 }
 
-// Ties straddling shard boundaries: with four replicated document shapes,
-// the k-th score is a multi-way tie, the pushed floor equals a real answer
-// score, and the canonical (score desc, document order asc) merge must still
-// reproduce the combined node exactly — floors prune strictly below only.
-TEST_P(DistributedTopKTest, TiesAtTheFloorSurviveTheExchange) {
-  auto combined_node = StartNode(*combined_);
-  auto shards = StartShards();
-  auto router = StartRouter(MapFor(shards), QuietRouterOptions());
+/// (shard count, k, seed).
+using Layout = std::tuple<size_t, int64_t, uint64_t>;
 
-  for (int64_t k : {int64_t{1}, int64_t{3}, int64_t{10}, int64_t{50}}) {
-    for (const char* term : {"algebra", "query", "join"}) {
-      std::string body = StrFormat(
-          R"({"terms":["%s"],"top_k":%lld})", term,
-          static_cast<long long>(k));
-      auto from_combined = Post(combined_node->port(), "/query", body);
-      auto from_router = Post(router->port(), "/query", body);
-      ASSERT_TRUE(from_combined.ok() && from_router.ok());
-      ASSERT_EQ(from_router->status, 200) << from_router->body;
-      EXPECT_EQ(NormalizedTopK(from_router->body),
-                NormalizedTopK(from_combined->body))
-          << "k=" << k << " term=" << term;
+class DistributedTopKTest : public DistributedTopKTestBase,
+                            public ::testing::WithParamInterface<Layout> {
+ protected:
+  void SetUp() override { BuildCorpus(std::get<0>(GetParam())); }
+
+  int64_t k() const { return std::get<1>(GetParam()); }
+
+  /// Asserts the router's answer to `body` is byte-identical (normalized)
+  /// to the combined service's.
+  void ExpectExact(const Router& router, const server::QueryService& combined,
+                   const std::string& body) {
+    auto from_router = Post(router.port(), body);
+    ASSERT_TRUE(from_router.ok()) << from_router.status().ToString();
+    server::QueryOutcome from_combined = combined.HandleQuery(body);
+    ASSERT_EQ(from_router->status, from_combined.http_status)
+        << body << "\n" << from_router->body;
+    EXPECT_EQ(NormalizedTopK(from_router->body),
+              NormalizedTopK(from_combined.body.Dump()))
+        << "k=" << k() << " shards=" << shard_collections_.size() << ": "
+        << body;
+  }
+
+  /// Waits for the shards' request counters to settle (a shard records a
+  /// request just after writing its response), then checks that every
+  /// client query cost exactly one /query per shard: one scatter.
+  static void ExpectOneScatterPerQuery(
+      const std::vector<std::unique_ptr<server::Server>>& shards,
+      uint64_t queries) {
+    for (const auto& shard : shards) {
+      auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (shard->stats().TotalRequests() < queries &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+      EXPECT_EQ(shard->stats().TotalRequests(), queries);
     }
   }
+};
+
+// Randomized queries, JSON and XQL: the router's top-k equals the combined
+// service's, and each query reaches every shard exactly once.
+TEST_P(DistributedTopKTest, RandomizedJsonAndXqlMatchCombinedService) {
+  server::QueryService combined(*combined_);
+  auto shards = StartShards();
+  auto router = StartRouter(MapFor(shards));
+
+  Rng rng(0xd15e ^ (std::get<2>(GetParam()) * 131 +
+                    static_cast<uint64_t>(k())));
+  uint64_t queries = 0;
+  for (int q = 0; q < 12; ++q) {
+    TopKQuery query = RandomTopKQuery(&rng, k());
+    ExpectExact(*router, combined, query.json);
+    ExpectExact(*router, combined, query.xql);
+    queries += 2;
+  }
+  ExpectOneScatterPerQuery(shards, queries);
+  EXPECT_EQ(router->partials_served(), 0u);
 
   router->Shutdown();
   for (auto& shard : shards) shard->Shutdown();
-  combined_node->Shutdown();
 }
 
-INSTANTIATE_TEST_SUITE_P(Shards, DistributedTopKTest,
-                         ::testing::Values(size_t{1}, size_t{2}, size_t{4}));
+// Planted ties: for every term, the combined service's full ranking has the
+// k-th and (k+1)-th answers at one score (checked, not assumed), and the
+// router still reproduces the combined top-k exactly — including which of
+// the tied answers make the cut, in both request forms.
+TEST_P(DistributedTopKTest, PlantedTiesAtTheKthScoreMergeExactly) {
+  server::QueryService combined(*combined_);
+  auto shards = StartShards();
+  auto router = StartRouter(MapFor(shards));
 
-/// Fault injection and protocol-contract tests at a fixed four-shard layout.
+  uint64_t queries = 0;
+  size_t planted = 0;
+  for (size_t w = 0; w < kVocabulary; ++w) {
+    const std::string full = StrFormat(
+        R"({"terms":["%s"],"rank":true})", Word(w));
+    server::QueryOutcome ranked = combined.HandleQuery(full);
+    ASSERT_EQ(ranked.http_status, 200) << ranked.body.Dump();
+    const json::Value& answers = *ranked.body.Find("answers");
+    if (answers.size() <= static_cast<size_t>(k())) continue;
+    EXPECT_EQ(answers[static_cast<size_t>(k()) - 1].Find("score")->AsDouble(),
+              answers[static_cast<size_t>(k())].Find("score")->AsDouble())
+        << "no tie at the k-th score for " << Word(w) << ", k=" << k();
+    ++planted;
+
+    const std::string json_body = StrFormat(
+        R"({"terms":["%s"],"top_k":%lld})", Word(w),
+        static_cast<long long>(k()));
+    json::Value xql_body = json::Value::Object();
+    xql_body.Set("q", StrFormat("{%s} TOP %lld", Word(w),
+                                static_cast<long long>(k())));
+    ExpectExact(*router, combined, json_body);
+    ExpectExact(*router, combined, xql_body.Dump());
+    queries += 2;
+  }
+  EXPECT_GE(planted, 3u) << "too few terms rank more than k answers";
+  ExpectOneScatterPerQuery(shards, queries);
+
+  router->Shutdown();
+  for (auto& shard : shards) shard->Shutdown();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShardsByKBySeed, DistributedTopKTest,
+    ::testing::Combine(::testing::Values(size_t{1}, size_t{2}, size_t{3},
+                                         size_t{4}),
+                       ::testing::Values(int64_t{1}, int64_t{3}, int64_t{10}),
+                       ::testing::Values(uint64_t{1}, uint64_t{2})));
+
+/// Degraded-mode and protocol tests at a fixed four-shard layout.
 class DistributedTopKFaultTest : public DistributedTopKTestBase {
  protected:
   void SetUp() override { BuildCorpus(4); }
@@ -373,13 +367,11 @@ class DistributedTopKFaultTest : public DistributedTopKTestBase {
   }
 };
 
-// A shard dead before the query: the probe and the refine both miss it, the
-// router falls back to a plain re-scatter (floors seeded from the dead
-// shard's probe could be unsound for a partial answer), and the partial
-// result must be the exact top-k over the surviving documents.
+// A shard dead before the query: the survivors' local top-k lists merge to
+// the exact top-k over the surviving documents, flagged as partial.
 TEST_F(DistributedTopKFaultTest, DeadShardFallsBackToExactPartial) {
   auto shards = StartShards();
-  auto router = StartRouter(MapFor(shards), QuietRouterOptions());
+  auto router = StartRouter(MapFor(shards));
   constexpr size_t kDead = 2;
   shards[kDead]->Shutdown();
 
@@ -387,7 +379,7 @@ TEST_F(DistributedTopKFaultTest, DeadShardFallsBackToExactPartial) {
   auto survivor_node = StartNode(*survivors);
   const std::string body = R"({"terms":["algebra","query"],"top_k":5})";
 
-  auto degraded = Post(router->port(), "/query", body);
+  auto degraded = Post(router->port(), body);
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
   ASSERT_EQ(degraded->status, 200) << degraded->body;
   auto parsed = json::Parse(degraded->body);
@@ -397,9 +389,9 @@ TEST_F(DistributedTopKFaultTest, DeadShardFallsBackToExactPartial) {
   ASSERT_EQ(partial->Find("missing_shards")->size(), 1u);
   EXPECT_EQ((*partial->Find("missing_shards"))[0].AsInt(),
             static_cast<int64_t>(kDead));
-  EXPECT_GE(router->bound_exchange_fallbacks(), 1u);
+  EXPECT_EQ(router->partials_served(), 1u);
 
-  auto oracle = Post(survivor_node->port(), "/query", body);
+  auto oracle = Post(survivor_node->port(), body);
   ASSERT_TRUE(oracle.ok());
   ASSERT_EQ(oracle->status, 200);
   EXPECT_EQ(AnswersOnly(degraded->body), AnswersOnly(oracle->body))
@@ -407,7 +399,7 @@ TEST_F(DistributedTopKFaultTest, DeadShardFallsBackToExactPartial) {
 
   // The same query under require_complete refuses the partial instead.
   auto refused = Post(
-      router->port(), "/query",
+      router->port(),
       R"({"terms":["algebra","query"],"top_k":5,"require_complete":true})");
   ASSERT_TRUE(refused.ok());
   EXPECT_EQ(refused->status, 504) << refused->body;
@@ -419,185 +411,20 @@ TEST_F(DistributedTopKFaultTest, DeadShardFallsBackToExactPartial) {
   survivor_node->Shutdown();
 }
 
-// A shard killed mid-exchange (after probing started, racing the refine and
-// any in-flight threshold updates): the result must be either the complete
-// byte-identical answer or an exact partial over the survivors — never a
-// wrong or mixed result. Dropped threshold updates must be harmless.
-TEST_F(DistributedTopKFaultTest, ShardKilledMidExchangeIsNeverWrong) {
-  server::ServerOptions slow;
-  slow.service.enable_debug_sleep = true;
-  auto shards = StartShards(slow);
-  auto router = StartRouter(MapFor(shards), QuietRouterOptions());
-  constexpr size_t kVictim = 3;
-
-  const std::string slow_body =
-      R"({"terms":["algebra","query"],"top_k":5,"debug_sleep_ms":150})";
-  const std::string plain_body = R"({"terms":["algebra","query"],"top_k":5})";
-
-  StatusOr<server::HttpResponse> response = Status::Internal("unset");
-  std::thread client([&] {
-    response = Post(router->port(), "/query", slow_body);
-  });
-  // Let the exchange get under way, then yank the victim shard. Depending on
-  // timing the kill lands during the probe, the refine, or after resolution.
-  WaitUntil([&] { return router->bounds_pushed() > 0; }, 2000);
-  shards[kVictim]->Shutdown();
-  client.join();
-
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  ASSERT_EQ(response->status, 200) << response->body;
-  auto parsed = json::Parse(response->body);
-  ASSERT_TRUE(parsed.ok());
-
-  if (parsed->Find("partial") == nullptr) {
-    // The victim resolved before dying: the answer must be complete & exact.
-    auto combined_node = StartNode(*combined_);
-    auto oracle = Post(combined_node->port(), "/query", plain_body);
-    ASSERT_TRUE(oracle.ok());
-    EXPECT_EQ(NormalizedTopK(response->body), NormalizedTopK(oracle->body));
-    combined_node->Shutdown();
-  } else {
-    const json::Value* missing = parsed->Find("partial")->Find("missing_shards");
-    ASSERT_EQ(missing->size(), 1u);
-    EXPECT_EQ((*missing)[0].AsInt(), static_cast<int64_t>(kVictim));
-    auto survivors = SurvivorsWithout(kVictim);
-    auto survivor_node = StartNode(*survivors);
-    auto oracle = Post(survivor_node->port(), "/query", plain_body);
-    ASSERT_TRUE(oracle.ok());
-    EXPECT_EQ(AnswersOnly(response->body), AnswersOnly(oracle->body))
-        << "mid-exchange kill produced a non-exact partial";
-    survivor_node->Shutdown();
-  }
-  EXPECT_GE(router->threshold_updates_sent(),
-            router->threshold_updates_applied());
-
-  router->Shutdown();
-  for (size_t s = 0; s < shards.size(); ++s) {
-    if (s != kVictim) shards[s]->Shutdown();
-  }
-}
-
-// The shard-side POST /threshold contract: unknown query ids are a no-op
-// acknowledgement (the query may have finished already), malformed bodies
-// are strict 400s, and the endpoint is POST-only.
-TEST_F(DistributedTopKFaultTest, ThresholdEndpointContract) {
-  auto node = StartNode(*shard_collections_[0]);
-
-  auto unknown = Post(node->port(), "/threshold",
-                      R"({"query_id":"xr-nope-1","score_floor":1.5})");
-  ASSERT_TRUE(unknown.ok());
-  EXPECT_EQ(unknown->status, 200) << unknown->body;
-  auto parsed = json::Parse(unknown->body);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_FALSE(parsed->Find("updated")->AsBool());
-
-  for (const char* bad : {
-           R"({"query_id":"x"})",                       // missing floor
-           R"({"score_floor":1.0})",                    // missing id
-           R"({"query_id":"","score_floor":1.0})",      // empty id
-           R"({"query_id":"x","score_floor":"high"})",  // non-numeric floor
-           R"({"query_id":"x","score_floor":1.0,"extra":true})",
-           R"([1,2,3])",
-           R"({"query_id": )",
-       }) {
-    auto response = Post(node->port(), "/threshold", bad);
-    ASSERT_TRUE(response.ok()) << bad;
-    EXPECT_EQ(response->status, 400) << bad << " -> " << response->body;
-  }
-
-  auto wrong_method = Get(node->port(), "/threshold");
-  ASSERT_TRUE(wrong_method.ok());
-  EXPECT_EQ(wrong_method->status, 405);
-
-  node->Shutdown();
-}
-
-// The resume half of the probe/resume split: "skip_documents" is validated
-// like the other shard-protocol fields, and a probe over the first N
-// eligible documents plus a resume skipping them partition the node's work —
-// the counters sum field by field to the plain request's, and every plain
-// top-k answer appears in one of the two answer streams.
-TEST_F(DistributedTopKFaultTest, SkipDocumentsResumePartitionsTheCorpus) {
-  auto node = StartNode(*combined_);
-
-  for (const char* bad : {
-           R"({"terms":["algebra"],"skip_documents":1})",  // requires top_k
-           R"({"terms":["algebra"],"top_k":3,"skip_documents":0})",
-           R"({"terms":["algebra"],"top_k":3,"skip_documents":-2})",
-           R"({"terms":["algebra"],"top_k":3,"skip_documents":1.5})",
-           R"({"terms":["algebra"],"top_k":3,"skip_documents":"2"})",
-           // A probe evaluates the first documents; a resume skips them.
-           R"({"terms":["algebra"],"top_k":3,"probe_documents":1,)"
-           R"("skip_documents":1})",
-       }) {
-    auto response = Post(node->port(), "/query", bad);
-    ASSERT_TRUE(response.ok()) << bad;
-    EXPECT_EQ(response->status, 400) << bad << " -> " << response->body;
-  }
-
-  auto body_for = [&](const char* extra) {
-    return StrFormat(
-        R"({"terms":["algebra","query"],"top_k":5%s})", extra);
-  };
-  auto plain = Post(node->port(), "/query", body_for(""));
-  auto probe = Post(node->port(), "/query", body_for(",\"probe_documents\":3"));
-  auto resume = Post(node->port(), "/query", body_for(",\"skip_documents\":3"));
-  ASSERT_TRUE(plain.ok() && probe.ok() && resume.ok());
-  ASSERT_EQ(plain->status, 200) << plain->body;
-  ASSERT_EQ(probe->status, 200) << probe->body;
-  ASSERT_EQ(resume->status, 200) << resume->body;
-  auto plain_body = json::Parse(plain->body);
-  auto probe_body = json::Parse(probe->body);
-  auto resume_body = json::Parse(resume->body);
-  ASSERT_TRUE(plain_body.ok() && probe_body.ok() && resume_body.ok());
-  EXPECT_NE(probe_body->Find("probe"), nullptr);
-  EXPECT_NE(resume_body->Find("resume"), nullptr);
-  EXPECT_EQ(plain_body->Find("resume"), nullptr);
-
-  // ("answer_count" is excluded: each half reports its own top-k cap, not a
-  // partition of the plain count.)
-  for (const char* counter : {"documents_evaluated", "documents_skipped"}) {
-    EXPECT_EQ(probe_body->Find(counter)->AsInt() +
-                  resume_body->Find(counter)->AsInt(),
-              plain_body->Find(counter)->AsInt())
-        << counter;
-  }
-
-  // Every plain top-k answer lives in exactly one half of the split (the
-  // halves cover disjoint documents), rendered with identical bytes.
-  std::vector<std::string> halves;
-  for (const json::Value* answers :
-       {probe_body->Find("answers"), resume_body->Find("answers")}) {
-    ASSERT_NE(answers, nullptr);
-    for (const json::Value& answer : answers->items()) {
-      halves.push_back(answer.Dump());
-    }
-  }
-  const json::Value* plain_answers = plain_body->Find("answers");
-  ASSERT_NE(plain_answers, nullptr);
-  EXPECT_GT(plain_answers->items().size(), 0u);
-  for (const json::Value& answer : plain_answers->items()) {
-    EXPECT_EQ(1, std::count(halves.begin(), halves.end(), answer.Dump()))
-        << answer.Dump();
-  }
-
-  node->Shutdown();
-}
-
-// The router owns the shard-side protocol fields: clients may not inject
-// them, and "bound_exchange" must be a proper bool.
+// The fields of the retired bound exchange are unknown request fields: the
+// shards' decoder rejects them and the router forwards that 400.
 TEST_F(DistributedTopKFaultTest, RouterRejectsClientSuppliedProtocolFields) {
   auto shards = StartShards();
-  auto router = StartRouter(MapFor(shards), QuietRouterOptions());
+  auto router = StartRouter(MapFor(shards));
 
   for (const char* bad : {
            R"({"terms":["algebra"],"top_k":3,"score_floor":1.0})",
            R"({"terms":["algebra"],"top_k":3,"probe_documents":1})",
            R"({"terms":["algebra"],"top_k":3,"skip_documents":1})",
            R"({"terms":["algebra"],"top_k":3,"query_id":"mine"})",
-           R"({"terms":["algebra"],"top_k":3,"bound_exchange":"yes"})",
+           R"({"terms":["algebra"],"top_k":3,"bound_exchange":false})",
        }) {
-    auto response = Post(router->port(), "/query", bad);
+    auto response = Post(router->port(), bad);
     ASSERT_TRUE(response.ok()) << bad;
     EXPECT_EQ(response->status, 400) << bad << " -> " << response->body;
     auto parsed = json::Parse(response->body);
@@ -607,39 +434,6 @@ TEST_F(DistributedTopKFaultTest, RouterRejectsClientSuppliedProtocolFields) {
 
   router->Shutdown();
   for (auto& shard : shards) shard->Shutdown();
-}
-
-// Per-request opt-out: "bound_exchange": false routes the query through the
-// plain single-phase scatter (no probes, no pushed floors) and still matches
-// the combined node exactly.
-TEST_F(DistributedTopKFaultTest, BoundExchangeOptOutPerRequest) {
-  auto combined_node = StartNode(*combined_);
-  auto shards = StartShards();
-  auto router = StartRouter(MapFor(shards), QuietRouterOptions());
-
-  auto opted_out = Post(
-      router->port(), "/query",
-      R"({"terms":["algebra","query"],"top_k":5,"bound_exchange":false})");
-  ASSERT_TRUE(opted_out.ok());
-  ASSERT_EQ(opted_out->status, 200) << opted_out->body;
-  EXPECT_EQ(router->bounds_pushed(), 0u);
-
-  auto oracle = Post(combined_node->port(), "/query",
-                     R"({"terms":["algebra","query"],"top_k":5})");
-  ASSERT_TRUE(oracle.ok());
-  EXPECT_EQ(NormalizedTopK(opted_out->body), NormalizedTopK(oracle->body));
-
-  // Without the opt-out the same query engages the exchange.
-  auto exchanged = Post(router->port(), "/query",
-                        R"({"terms":["algebra","query"],"top_k":5})");
-  ASSERT_TRUE(exchanged.ok());
-  ASSERT_EQ(exchanged->status, 200);
-  EXPECT_GT(router->bounds_pushed(), 0u);
-  EXPECT_EQ(NormalizedTopK(exchanged->body), NormalizedTopK(oracle->body));
-
-  router->Shutdown();
-  for (auto& shard : shards) shard->Shutdown();
-  combined_node->Shutdown();
 }
 
 }  // namespace

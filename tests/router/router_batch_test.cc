@@ -254,6 +254,25 @@ TEST_F(RouterBatchTest, EnvelopeAndPerItemValidation) {
   EXPECT_EQ((*results)[0].Find("status")->AsInt(), 400);
   EXPECT_EQ((*results)[1].Find("status")->AsInt(), 400);
 
+  // Every field of the retired top-k bound exchange is an unknown field to
+  // the shards' decoder: a per-item 400 that leaves its neighbour intact.
+  for (const char* field : {"score_floor", "probe_documents",
+                            "skip_documents", "query_id", "bound_exchange"}) {
+    auto retired = Post(
+        router->port(), "/query_batch",
+        StrFormat(R"([{"terms":["algebra"],"top_k":3,"%s":1},)"
+                  R"({"terms":["algebra"]}])",
+                  field));
+    ASSERT_TRUE(retired.ok()) << field;
+    ASSERT_EQ(retired->status, 200) << field;
+    auto retired_body = json::Parse(retired->body);
+    ASSERT_TRUE(retired_body.ok()) << field;
+    const json::Value* retired_results = retired_body->Find("results");
+    ASSERT_EQ(retired_results->size(), 2u) << field;
+    EXPECT_EQ((*retired_results)[0].Find("status")->AsInt(), 400) << field;
+    EXPECT_EQ((*retired_results)[1].Find("status")->AsInt(), 200) << field;
+  }
+
   // GET is refused with 405.
   auto raw = server::HttpRoundTrip(
       "127.0.0.1", router->port(),

@@ -229,15 +229,14 @@ class RouterIntegrationTest : public ::testing::Test {
 
 TEST_F(RouterIntegrationTest, RandomizedQueriesByteIdenticalToCombinedNode) {
   // This is the strict legacy contract: full bodies — including the work
-  // "metrics" — must agree byte for byte. Bound exchange, cross-document
-  // floor seeding, and document-class dedup legitimately change the work
-  // counters (answers stay identical; tests/router/distributed_topk_test.cc
-  // and RandomizedQueriesAnswersIdenticalWithDagCompression below prove
-  // that), so all three are disabled here to keep the metric comparison
-  // meaningful. Dedup in particular skips duplicate documents entirely on
-  // the combined node, so their fixed-point caches run colder than the
-  // shards' — visible in the metrics of EXPLAIN requests, which bypass
-  // dedup.
+  // "metrics" — must agree byte for byte. Cross-document floor seeding and
+  // document-class dedup legitimately change the work counters (answers
+  // stay identical; tests/router/distributed_topk_test.cc and
+  // RandomizedQueriesAnswersIdenticalWithDagCompression below prove that),
+  // so both are disabled here to keep the metric comparison meaningful.
+  // Dedup in particular skips duplicate documents entirely on the combined
+  // node, so their fixed-point caches run colder than the shards' — visible
+  // in the metrics of EXPLAIN requests, which bypass dedup.
   algebra::SetDagCompressionEnabled(false);
   struct SwitchRestore {
     ~SwitchRestore() { algebra::SetDagCompressionEnabled(true); }
@@ -247,7 +246,6 @@ TEST_F(RouterIntegrationTest, RandomizedQueriesByteIdenticalToCombinedNode) {
   auto combined_node = StartNode(*combined_, node_options);
   auto shards = StartShards(node_options);
   RouterOptions router_options = QuietRouterOptions();
-  router_options.enable_bound_exchange = false;
   auto router = StartRouter(MapFor(shards), router_options);
 
   // Identical query sequences keep the per-document fixed-point caches on
@@ -284,7 +282,6 @@ TEST_F(RouterIntegrationTest, RandomizedQueriesAnswersIdenticalWithDagCompressio
   auto combined_node = StartNode(*combined_, node_options);
   auto shards = StartShards(node_options);
   RouterOptions router_options = QuietRouterOptions();
-  router_options.enable_bound_exchange = false;
   auto router = StartRouter(MapFor(shards), router_options);
 
   // Work counters drift with dedup (the "metrics" object, and the physical
