@@ -7,7 +7,10 @@
 # The first stage is exactly the tier-1 contract from ROADMAP.md: configure,
 # build, and run the whole test suite. Then every bench binary runs once in
 # smoke mode (tiny inputs, one repetition) so the perf trajectory cannot
-# silently rot. The sanitizer stages rebuild with -DXFRAG_SANITIZE=address in
+# silently rot, and the servebench harness (servebench/, a separate CMake
+# package compiled against src/) builds and runs its own unit tests, so a
+# src/ change that breaks the serving benchmark fails here. The sanitizer
+# stages rebuild with -DXFRAG_SANITIZE=address in
 # a separate build dir and run the algebra, query (top-k engine path), and
 # concurrency suites (plus everything labelled `parallel` — ThreadPool, the
 # FixedPointCache hammer, the collection fan-out, and the serial DAG and
@@ -76,6 +79,11 @@ for bench in build/bench/bench_*; do
   XFRAG_BENCH_SMOKE=1 XFRAG_BENCH_DIR="$PWD/build/bench-smoke" "$bench" \
     > /dev/null
 done
+
+echo "== servebench: build + harness self-test =="
+# Builds into build/servebench (run.py reads CARGO_TARGET_DIR), next to the
+# tier-1 build and ignored by git.
+CARGO_TARGET_DIR=build python3 servebench/run.py --self-test
 
 if [[ "$FAST" == 1 ]]; then
   echo "== skipping sanitizer stages (--fast) =="

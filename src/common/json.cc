@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -41,6 +42,10 @@ const Value& Value::operator[](size_t i) const {
   return array_[i];
 }
 
+Value& Value::operator[](size_t i) {
+  return const_cast<Value&>(std::as_const(*this)[i]);
+}
+
 Value& Value::Append(Value element) {
   if (kind_ == Kind::kNull) kind_ = Kind::kArray;
   XFRAG_CHECK(kind_ == Kind::kArray);
@@ -67,6 +72,10 @@ const Value* Value::Find(std::string_view key) const {
     if (member.first == key) return &member.second;
   }
   return nullptr;
+}
+
+Value* Value::Find(std::string_view key) {
+  return const_cast<Value*>(std::as_const(*this).Find(key));
 }
 
 bool Value::Remove(std::string_view key) {

@@ -80,6 +80,7 @@ class Value {
 
   /// Array element access (requires is_array()).
   const Value& operator[](size_t i) const;
+  Value& operator[](size_t i);
   const std::vector<Value>& items() const { return array_; }
 
   /// \brief Appends to an array (a null Value becomes an array first).
@@ -90,8 +91,10 @@ class Value {
   /// An existing key is overwritten in place, preserving its position.
   Value& Set(std::string key, Value value);
 
-  /// Object member lookup; nullptr when absent (or not an object).
+  /// Object member lookup; nullptr when absent (or not an object). The
+  /// mutable form lets a caller move a member out of a parsed document.
   const Value* Find(std::string_view key) const;
+  Value* Find(std::string_view key);
 
   /// \brief Removes `key` from an object, preserving the order of the
   /// remaining members. Returns whether the key was present (false also for

@@ -20,6 +20,9 @@ inline constexpr const char* kVersion = "0.6.0";
 /// scatter and an exact k-way merge. The exchange's shard endpoint is gone,
 /// and its five request fields are unknown fields (a 400) like any other
 /// (docs/SERVING.md, "Distributed top-k").
+/// The router later began sending a /query to the shards as a one-item
+/// /query_batch without a bump: the request fields, "partial" and the merge
+/// order are unchanged, and every revision-4 shard serves /query_batch.
 inline constexpr int kRouterProtocolRevision = 4;
 
 /// \brief One-line build description: version, compiler, language level.

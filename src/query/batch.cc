@@ -45,7 +45,6 @@ std::vector<std::vector<size_t>> GroupQueriesByTerms(
   };
   std::unordered_map<std::string, size_t> term_owner;
   for (size_t i = 0; i < queries.size(); ++i) {
-    if (queries[i] == nullptr) continue;
     for (const std::string& term : queries[i]->terms) {
       auto [it, inserted] = term_owner.emplace(AsciiToLower(term), i);
       if (!inserted) {
@@ -68,42 +67,6 @@ std::vector<std::vector<size_t>> GroupQueriesByTerms(
     groups[it->second].push_back(i);
   }
   return groups;
-}
-
-std::vector<StatusOr<EvalResult>> EvaluateBatch(
-    const doc::Document& document, const text::InvertedIndex& index,
-    const std::vector<BatchItem>& items, size_t document_index,
-    BatchEvalStats* stats) {
-  QueryEngine engine(document, index);
-  std::vector<StatusOr<EvalResult>> results;
-  results.reserve(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    results.push_back(Status::Internal("unevaluated batch item"));
-  }
-
-  std::vector<const Query*> queries;
-  queries.reserve(items.size());
-  for (const BatchItem& item : items) queries.push_back(item.query);
-  std::vector<std::vector<size_t>> groups = GroupQueriesByTerms(queries);
-  if (stats != nullptr) stats->groups = groups.size();
-
-  for (const std::vector<size_t>& members : groups) {
-    ScanMemo memo;
-    for (size_t item_index : members) {
-      const BatchItem& item = items[item_index];
-      if (item.query == nullptr) {
-        results[item_index] =
-            Status::InvalidArgument("batch item has no query");
-        continue;
-      }
-      EvalOptions options = item.options;
-      options.executor.scan_memo = &memo;
-      options.executor.scan_memo_document = document_index;
-      results[item_index] = engine.Evaluate(*item.query, options);
-    }
-    if (stats != nullptr) stats->subplans_shared += memo.hits();
-  }
-  return results;
 }
 
 }  // namespace xfrag::query

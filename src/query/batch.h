@@ -1,4 +1,4 @@
-// Batched multi-query evaluation: the engine-side sharing layer behind the
+// Batched multi-query evaluation: the engine-side sharing pieces behind the
 // server's POST /query_batch endpoint. Concurrent queries over the same
 // fragment space share most of their physical work — term-dictionary lookups,
 // posting decodes, and scan-filter evaluation — yet a sequential Evaluate
@@ -23,8 +23,8 @@
 //    caveat: LRU eviction order of an at-capacity cache can differ when
 //    groups interleave — entries kept/evicted may vary, results never do.
 //
-//  * EvaluateBatch drives the per-document loop: one ScanMemo per
-//    (group), items evaluated in order, per-item StatusOr<EvalResult>.
+// The server's batch handler drives both: one ScanMemo per group of two or
+// more items, handed to each evaluation through ExecutorOptions::scan_memo.
 
 #ifndef XFRAG_QUERY_BATCH_H_
 #define XFRAG_QUERY_BATCH_H_
@@ -36,11 +36,7 @@
 #include <vector>
 
 #include "algebra/fragment_set.h"
-#include "common/status.h"
-#include "doc/document.h"
-#include "query/engine.h"
 #include "query/query.h"
-#include "text/inverted_index.h"
 
 namespace xfrag::query {
 
@@ -91,33 +87,6 @@ class ScanMemo {
 /// the fixed-point cache, or the result cache.
 std::vector<std::vector<size_t>> GroupQueriesByTerms(
     const std::vector<const Query*>& queries);
-
-/// One item of an engine-level batch.
-struct BatchItem {
-  const Query* query = nullptr;
-  EvalOptions options;
-};
-
-/// Sharing counters produced by one EvaluateBatch call.
-struct BatchEvalStats {
-  /// Number of term-connected groups the batch split into.
-  uint64_t groups = 0;
-  /// Scan sub-plans answered from the memo instead of re-evaluated.
-  uint64_t subplans_shared = 0;
-};
-
-/// \brief Evaluates every item against one document, sharing keyword scans
-/// within each term-connected group.
-///
-/// Results and metrics are byte-identical to calling
-/// QueryEngine::Evaluate(item.query, item.options) sequentially in item
-/// order. Any ExecutorOptions::scan_memo the caller left set on an item is
-/// overridden. `document_index` keys memo entries (pass the collection
-/// position when batching across documents with one memo per group).
-std::vector<StatusOr<EvalResult>> EvaluateBatch(
-    const doc::Document& document, const text::InvertedIndex& index,
-    const std::vector<BatchItem>& items, size_t document_index = 0,
-    BatchEvalStats* stats = nullptr);
 
 }  // namespace xfrag::query
 

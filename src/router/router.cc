@@ -236,8 +236,7 @@ int Router::HedgeDelayMs(int shard_deadline_ms) const {
 }
 
 std::vector<Router::ShardOutcome> Router::ScatterGather(
-    const std::string& forward_body, int shard_deadline_ms,
-    const std::string& target) {
+    const std::string& forward_body, int shard_deadline_ms) {
   const size_t n = shards_.size();
   auto state = std::make_shared<GatherState>();
   state->shards.resize(n);
@@ -291,8 +290,8 @@ std::vector<Router::ShardOutcome> Router::ScatterGather(
   std::vector<std::string> requests;
   requests.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    requests.push_back(
-        shards_[i]->client->BuildRequest("POST", target, forward_body));
+    requests.push_back(shards_[i]->client->BuildRequest(
+        "POST", "/query_batch", forward_body));
   }
   {
     std::lock_guard<std::mutex> lock(state->mutex);
@@ -415,73 +414,26 @@ std::string Router::HandleQuery(const std::string& request_body,
   // other field goes to the shards as sent; their decoder is the one place
   // that accepts or rejects request fields.
   bool require_complete = false;
-  if (root->is_object()) {
-    if (const json::Value* rc = root->Find("require_complete")) {
-      if (!rc->is_bool()) {
-        *status_out = 400;
-        return ErrorJson(Status::InvalidArgument(
-                             "\"require_complete\" must be a boolean"))
-            .Dump();
-      }
-      require_complete = rc->AsBool();
-      root->Remove("require_complete");
+  if (const json::Value* rc = root->Find("require_complete")) {
+    if (!rc->is_bool()) {
+      *status_out = 400;
+      return ErrorJson(Status::InvalidArgument(
+                           "\"require_complete\" must be a boolean"))
+          .Dump();
     }
+    require_complete = rc->AsBool();
+    root->Remove("require_complete");
   }
-  const QueryPlan plan = ExtractQueryPlan(*root);
-  const int shard_deadline_ms = plan.deadline_ms > 0
-                                    ? plan.deadline_ms
-                                    : options_.default_shard_deadline_ms;
-
-  // One scatter, top-k included (docs/SERVING.md): shards hold disjoint
-  // documents, so each shard's local top-k merged k-way is the exact global
-  // top-k, and a missing shard leaves the exact top-k of the survivors.
-  std::vector<ShardOutcome> outcomes =
-      ScatterGather(root->Dump(), shard_deadline_ms, "/query");
-
-  std::vector<ShardBody> bodies;
-  std::vector<size_t> missing;
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    ShardOutcome& outcome = outcomes[i];
-    if (outcome.resolved && outcome.http_status == 200) {
-      auto parsed = json::Parse(outcome.body);
-      if (parsed.ok() && parsed->is_object()) {
-        bodies.push_back(
-            ShardBody{i, shards_[i]->info.doc_begin, std::move(*parsed)});
-      } else {
-        missing.push_back(i);
-      }
-    } else if (outcome.resolved && outcome.http_status >= 400 &&
-               outcome.http_status < 500) {
-      // Validation errors are deterministic across shards (identical
-      // request, identical decoder) — the first one speaks for the corpus.
-      *status_out = outcome.http_status;
-      return std::move(outcome.body);
-    } else {
-      // 5xx, shard-side 504, transport error, or gather deadline.
-      missing.push_back(i);
-    }
+  std::vector<json::Value> queries;
+  queries.push_back(std::move(*root));
+  RoutedQueries routed =
+      RouteQueries(std::move(queries), require_complete, timer);
+  if (routed.rejected) {
+    *status_out = routed.rejected->http_status;
+    return std::move(routed.rejected->body);
   }
-
-  json::Value merged;
-  *status_out = MergeShardBodies(std::move(bodies), missing, plan.merge,
-                                 require_complete, &merged);
-  if (*status_out != 200) return merged.Dump();
-  if (plan.merge.top_k >= 0) {
-    // Observability: how many candidate pairs the shards' score bounds
-    // (engine-local floors included) rejected fleet-wide for this query.
-    if (const json::Value* metrics = merged.Find("metrics")) {
-      if (const json::Value* rejected =
-              metrics->Find("pairs_rejected_score");
-          rejected != nullptr && rejected->is_integral() &&
-          rejected->AsInt() >= 0) {
-        topk_pairs_rejected_.fetch_add(
-            static_cast<uint64_t>(rejected->AsInt()),
-            std::memory_order_relaxed);
-      }
-    }
-  }
-  merged.Set("elapsed_ms", timer.ElapsedMillis());
-  return merged.Dump();
+  *status_out = routed.results[0].status;
+  return routed.results[0].body.Dump();
 }
 
 std::string Router::HandleQueryBatch(const std::string& request_body,
@@ -495,12 +447,12 @@ std::string Router::HandleQueryBatch(const std::string& request_body,
     *status_out = 400;
     return body.Dump();
   }
-  // Envelope: a bare array of query objects, or {"queries": [...],
+  // Envelope: a bare array of queries, or {"queries": [...],
   // "require_complete": bool}. require_complete is batch-wide — the gather
   // has one deadline budget per shard per batch, so completeness is a
   // property of the whole scatter, applied per item at merge time.
   bool require_complete = false;
-  const json::Value* queries = nullptr;
+  json::Value* queries = nullptr;
   if (root->is_array()) {
     queries = &*root;
   } else if (root->is_object()) {
@@ -513,7 +465,6 @@ std::string Router::HandleQueryBatch(const std::string& request_body,
                                "objects"))
               .Dump();
         }
-        queries = &value;
       } else if (key == "require_complete") {
         if (!value.is_bool()) {
           *status_out = 400;
@@ -529,6 +480,7 @@ std::string Router::HandleQueryBatch(const std::string& request_body,
             .Dump();
       }
     }
+    queries = root->Find("queries");
     if (queries == nullptr) {
       *status_out = 400;
       return ErrorJson(
@@ -542,132 +494,123 @@ std::string Router::HandleQueryBatch(const std::string& request_body,
                          "{\"queries\": [...]}"))
         .Dump();
   }
-  if (queries->size() == 0) {
+  const size_t n_items = queries->size();
+  if (n_items == 0) {
     *status_out = 400;
     return ErrorJson(
                Status::InvalidArgument("batch must contain at least one query"))
         .Dump();
   }
-  if (queries->size() > options_.batch_max_items) {
+  if (n_items > options_.batch_max_items) {
     *status_out = 400;
     return ErrorJson(Status::InvalidArgument(StrFormat(
                          "batch of %zu items exceeds the %zu-item limit",
-                         queries->size(), options_.batch_max_items)))
+                         n_items, options_.batch_max_items)))
         .Dump();
-  }
-
-  const size_t n_items = queries->size();
-  struct ItemState {
-    bool forwarded = false;
-    size_t forward_position = 0;
-    int status = 0;
-    json::Value body;
-    MergePlan plan;
-  };
-  std::vector<ItemState> items(n_items);
-  json::Value forward = json::Value::Array();
-  size_t forwarded_count = 0;
-  int shard_deadline_ms = options_.default_shard_deadline_ms;
-  for (size_t i = 0; i < n_items; ++i) {
-    const json::Value& q = (*queries)[i];
-    ItemState& item = items[i];
-    if (!q.is_object()) {
-      item.status = 400;
-      item.body = ErrorJson(Status::InvalidArgument(
-          "each batch item must be a JSON object"));
-      continue;
-    }
-    // require_complete lives on the batch envelope; accepting it per item
-    // would silently apply to nothing.
-    if (q.Find("require_complete") != nullptr) {
-      item.status = 400;
-      item.body = ErrorJson(Status::InvalidArgument(
-          "\"require_complete\" applies to the whole batch; set it on the "
-          "batch envelope, not on an item"));
-      continue;
-    }
-    const QueryPlan plan = ExtractQueryPlan(q);
-    item.plan = plan.merge;
-    // One deadline budget per shard per batch: wide enough for the most
-    // patient item.
-    shard_deadline_ms = std::max(shard_deadline_ms, plan.deadline_ms);
-    item.forwarded = true;
-    item.forward_position = forwarded_count++;
-    forward.Append(q);
   }
   batches_routed_.fetch_add(1, std::memory_order_relaxed);
   batch_items_routed_.fetch_add(n_items, std::memory_order_relaxed);
 
-  auto render = [&]() -> std::string {
-    json::Value results = json::Value::Array();
-    for (ItemState& item : items) {
-      json::Value entry = json::Value::Object();
-      entry.Set("status", static_cast<int64_t>(item.status));
-      entry.Set("body", std::move(item.body));
-      results.Append(std::move(entry));
+  std::vector<json::Value> items;
+  items.reserve(n_items);
+  for (size_t i = 0; i < n_items; ++i) {
+    items.push_back(std::move((*queries)[i]));
+  }
+  RoutedQueries routed =
+      RouteQueries(std::move(items), require_complete, timer);
+  if (routed.rejected) {
+    *status_out = routed.rejected->http_status;
+    return std::move(routed.rejected->body);
+  }
+  json::Value results = json::Value::Array();
+  for (QueryResult& result : routed.results) {
+    json::Value entry = json::Value::Object();
+    entry.Set("status", static_cast<int64_t>(result.status));
+    entry.Set("body", std::move(result.body));
+    results.Append(std::move(entry));
+  }
+  json::Value body = json::Value::Object();
+  body.Set("results", std::move(results));
+  body.Set("elapsed_ms", timer.ElapsedMillis());
+  *status_out = 200;
+  return body.Dump();
+}
+
+Router::RoutedQueries Router::RouteQueries(std::vector<json::Value> queries,
+                                           bool require_complete,
+                                           const Timer& timer) {
+  RoutedQueries routed;
+  routed.results.resize(queries.size());
+  std::vector<MergePlan> plans(queries.size());
+  std::vector<size_t> forwarded;  // client position per forwarded position
+  json::Value forward = json::Value::Array();
+  // One deadline budget per shard per scatter, wide enough for the most
+  // patient forwarded query; a query without "deadline_ms" asks for the
+  // default budget.
+  int shard_deadline_ms = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    // require_complete belongs to the request (HandleQuery strips it from
+    // the /query body; a batch carries it on the envelope); on an item it
+    // would silently apply to nothing.
+    if (queries[i].Find("require_complete") != nullptr) {
+      routed.results[i].status = 400;
+      routed.results[i].body = ErrorJson(Status::InvalidArgument(
+          "\"require_complete\" applies to the whole batch; set it on the "
+          "batch envelope, not on an item"));
+      continue;
     }
-    json::Value body = json::Value::Object();
-    body.Set("results", std::move(results));
-    body.Set("elapsed_ms", timer.ElapsedMillis());
-    *status_out = 200;
-    return body.Dump();
-  };
-  if (forwarded_count == 0) return render();
+    const QueryPlan plan = ExtractQueryPlan(queries[i]);
+    plans[i] = plan.merge;
+    shard_deadline_ms = std::max(shard_deadline_ms,
+                                 plan.deadline_ms > 0
+                                     ? plan.deadline_ms
+                                     : options_.default_shard_deadline_ms);
+    forwarded.push_back(i);
+    forward.Append(std::move(queries[i]));
+  }
+  if (forwarded.empty()) return routed;
 
-  // ONE scatter of the whole forwarded sub-batch to every shard: one
-  // connection acquisition, one request/response parse, one deadline budget
-  // per shard per batch.
   std::vector<ShardOutcome> outcomes =
-      ScatterGather(forward.Dump(), shard_deadline_ms, "/query_batch");
+      ScatterGather(forward.Dump(), shard_deadline_ms);
 
+  // Each shard's envelope, parsed once: its "results" array when it holds
+  // one result per forwarded query, else null (the shard is missing for
+  // every query: transport error, 5xx, gather deadline, malformed 200).
   const size_t n_shards = shards_.size();
-  struct ShardBatch {
-    bool ok = false;  // parsed envelope with one result per forwarded item
-    json::Value parsed;
-  };
-  std::vector<ShardBatch> shard_batches(n_shards);
+  std::vector<json::Value> envelopes(n_shards);
+  std::vector<json::Value*> shard_results(n_shards, nullptr);
   for (size_t s = 0; s < n_shards; ++s) {
     ShardOutcome& outcome = outcomes[s];
-    if (outcome.resolved && outcome.http_status == 200) {
-      auto parsed = json::Parse(outcome.body);
-      const json::Value* results =
-          parsed.ok() && parsed->is_object() ? parsed->Find("results")
-                                             : nullptr;
-      if (results != nullptr && results->is_array() &&
-          results->size() == forwarded_count) {
-        shard_batches[s].ok = true;
-        shard_batches[s].parsed = std::move(*parsed);
-      }
-      // A malformed 200 envelope degrades to a missing shard per item.
-    } else if (outcome.resolved && outcome.http_status >= 400 &&
-               outcome.http_status < 500) {
-      // A batch-envelope 4xx is deterministic across shards (identical
-      // envelope, identical decoder) — the first speaks for the fleet.
-      *status_out = outcome.http_status;
-      return std::move(outcome.body);
+    if (!outcome.resolved) continue;
+    if (outcome.http_status >= 400 && outcome.http_status < 500) {
+      // An envelope 4xx is deterministic across shards (identical request,
+      // identical limits) — the first speaks for the fleet.
+      routed.results.clear();
+      routed.rejected = std::move(outcome);
+      return routed;
     }
-    // Transport errors / 5xx / gather deadline: missing shard per item.
+    if (outcome.http_status != 200) continue;
+    auto parsed = json::Parse(outcome.body);
+    if (!parsed.ok()) continue;
+    envelopes[s] = std::move(*parsed);
+    json::Value* results = envelopes[s].Find("results");
+    if (results != nullptr && results->is_array() &&
+        results->size() == forwarded.size()) {
+      shard_results[s] = results;
+    }
   }
 
-  for (size_t i = 0; i < n_items; ++i) {
-    ItemState& item = items[i];
-    if (!item.forwarded) continue;
-    const size_t p = item.forward_position;
+  for (size_t p = 0; p < forwarded.size(); ++p) {
+    QueryResult& result = routed.results[forwarded[p]];
+    const MergePlan& plan = plans[forwarded[p]];
     std::vector<ShardBody> bodies;
     std::vector<size_t> missing;
-    int item_4xx_status = 0;
-    json::Value item_4xx_body;
     for (size_t s = 0; s < n_shards; ++s) {
-      if (!shard_batches[s].ok) {
-        missing.push_back(s);
-        continue;
-      }
-      const json::Value& result =
-          (*shard_batches[s].parsed.Find("results"))[p];
+      json::Value* item =
+          shard_results[s] != nullptr ? &(*shard_results[s])[p] : nullptr;
       const json::Value* status =
-          result.is_object() ? result.Find("status") : nullptr;
-      const json::Value* body =
-          result.is_object() ? result.Find("body") : nullptr;
+          item != nullptr ? item->Find("status") : nullptr;
+      json::Value* body = item != nullptr ? item->Find("body") : nullptr;
       if (status == nullptr || !status->is_integral() || body == nullptr) {
         missing.push_back(s);
         continue;
@@ -675,28 +618,40 @@ std::string Router::HandleQueryBatch(const std::string& request_body,
       const int64_t code = status->AsInt();
       if (code == 200 && body->is_object()) {
         bodies.push_back(
-            ShardBody{s, shards_[s]->info.doc_begin, *body});
+            ShardBody{s, shards_[s]->info.doc_begin, std::move(*body)});
       } else if (code >= 400 && code < 500) {
-        // Per-item validation errors are deterministic across shards too.
-        if (item_4xx_status == 0) {
-          item_4xx_status = static_cast<int>(code);
-          item_4xx_body = *body;
-        }
+        // Per-query validation errors are deterministic across shards
+        // (identical query, identical decoder) — the first one speaks for
+        // the corpus.
+        result.status = static_cast<int>(code);
+        result.body = std::move(*body);
+        break;
       } else {
-        // Per-item 504/5xx (e.g. an expired item deadline on that shard).
+        // A per-query 504/5xx (e.g. the query's deadline expired there).
         missing.push_back(s);
       }
     }
-    if (item_4xx_status != 0) {
-      item.status = item_4xx_status;
-      item.body = std::move(item_4xx_body);
-      continue;
+    if (result.status != 0) continue;
+    result.status = MergeShardBodies(std::move(bodies), missing, plan,
+                                     require_complete, &result.body);
+    if (result.status != 200) continue;
+    if (plan.top_k >= 0) {
+      // Observability: how many candidate pairs the shards' score bounds
+      // (engine-local floors included) rejected fleet-wide for this query.
+      if (const json::Value* metrics = result.body.Find("metrics")) {
+        if (const json::Value* rejected =
+                metrics->Find("pairs_rejected_score");
+            rejected != nullptr && rejected->is_integral() &&
+            rejected->AsInt() >= 0) {
+          topk_pairs_rejected_.fetch_add(
+              static_cast<uint64_t>(rejected->AsInt()),
+              std::memory_order_relaxed);
+        }
+      }
     }
-    item.status = MergeShardBodies(std::move(bodies), missing, item.plan,
-                                   require_complete, &item.body);
-    if (item.status == 200) item.body.Set("elapsed_ms", timer.ElapsedMillis());
+    result.body.Set("elapsed_ms", timer.ElapsedMillis());
   }
-  return render();
+  return routed;
 }
 
 json::Value Router::RouterMetricsJson() const {

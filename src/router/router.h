@@ -1,10 +1,12 @@
 // xfrag_router — the scatter-gather serving tier. One Router fronts N
 // xfragd shards holding disjoint document slices (the ShardMap) and exposes
-// the same HTTP surface as a single xfragd: POST /query plus GET
-// /healthz, /metrics, /version. Every /query fans out to every shard
-// concurrently, responses merge exactly (see router/merge.h), and the
-// router's answer is byte-identical — modulo "elapsed_ms" — to a single
-// xfragd hosting the whole corpus.
+// the same HTTP surface as a single xfragd: POST /query and POST
+// /query_batch plus GET /healthz, /metrics, /version. Both query endpoints
+// share one request path: a /query is a batch of one. The router sends the
+// client's queries to every shard concurrently in ONE backend /query_batch
+// request per shard, merges each query's shard answers exactly (see
+// router/merge.h), and its answers are byte-identical — modulo
+// "elapsed_ms" — to a single xfragd hosting the whole corpus.
 //
 // Tail-latency control: after a p95-derived delay with stragglers still
 // outstanding, the router launches at most ONE hedge — a duplicate request
@@ -13,11 +15,12 @@
 // per request) so a busy cluster sees at most 1/N extra load.
 //
 // Degraded mode: a shard that times out, refuses connections, or answers
-// 5xx becomes a "missing shard". By default the router still answers 200
-// with the merged remainder plus "partial": {"missing_shards": [...]};
-// a request carrying "require_complete": true gets 504 instead. 4xx shard
-// responses (validation errors) are forwarded verbatim — every shard
-// validates identically, so the first one speaks for all.
+// 5xx (or a per-query 5xx) becomes a "missing shard" for that query. By
+// default the router still answers 200 with the merged remainder plus
+// "partial": {"missing_shards": [...]}; a request carrying
+// "require_complete": true gets 504 instead. A shard's per-query 4xx
+// (validation errors) is forwarded verbatim — every shard validates
+// identically, so the first one speaks for all.
 //
 // A background thread polls every shard's /healthz, maintaining mark-down /
 // mark-up state that /metrics reports alongside per-shard latency
@@ -31,12 +34,15 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "common/timer.h"
 #include "router/backend_client.h"
 #include "router/merge.h"
 #include "router/shard_map.h"
@@ -121,8 +127,9 @@ class Router : private server::HttpDispatcher {
   uint64_t hedges_won() const { return hedges_won_.load(); }
   uint64_t partials_served() const { return partials_served_.load(); }
 
-  /// Sum of the merged "pairs_rejected_score" over top-k /query responses
-  /// (also in /metrics under "router"."distributed_topk").
+  /// Sum of the merged "pairs_rejected_score" over every merged top-k
+  /// query, /query and /query_batch items alike (also in /metrics under
+  /// "router"."distributed_topk").
   uint64_t topk_pairs_rejected() const {
     return topk_pairs_rejected_.load();
   }
@@ -170,27 +177,52 @@ class Router : private server::HttpDispatcher {
                        int* status_out, algebra::OpMetrics* metrics_out,
                        bool* has_metrics_out) override;
 
-  /// The /query path: parse, one scatter, hedge, gather, merge. Top-k
-  /// needs no exchange between shards: each shard's local top-k over its
-  /// disjoint documents, merged k-way, is the exact global top-k. Returns
-  /// the response body; `*status_out` carries the HTTP status.
+  /// One client query's answer: HTTP status and JSON body.
+  struct QueryResult {
+    int status = 0;
+    json::Value body;
+  };
+
+  /// What the request path returns for a list of client queries.
+  struct RoutedQueries {
+    /// One result per client query, in order (empty when `rejected`).
+    std::vector<QueryResult> results;
+    /// A shard's 4xx for the forwarded request as a whole (e.g. a body over
+    /// its size limit). Every shard applies the same limits, so the first
+    /// one speaks for the fleet; it is the client request's answer.
+    std::optional<ShardOutcome> rejected;
+  };
+
+  /// The /query path: parse, take and strip "require_complete", route a
+  /// one-query list, answer with its one result. Returns the response
+  /// body; `*status_out` carries the HTTP status.
   std::string HandleQuery(const std::string& request_body, int* status_out);
 
-  /// The /query_batch path: the whole batch goes to every shard in ONE
-  /// backend request (one connection acquisition, one JSON parse, one
-  /// deadline budget per shard per batch), each item merges with the exact
-  /// per-item merge, and degraded/partial semantics apply per item.
+  /// The /query_batch path: envelope parsing, then the same request path.
   /// Envelope fields: a bare array, or {"queries": [...],
   /// "require_complete": bool} (require_complete applies to every item;
   /// per-item occurrences are per-item 400s).
   std::string HandleQueryBatch(const std::string& request_body,
                                int* status_out);
 
-  /// Runs the scatter-gather of `forward_body` to every shard's `target`
-  /// endpoint ("/query", "/query_batch").
+  /// The one request path behind both endpoints. Each query's merge plan
+  /// comes from the client query; the forwarded queries go to every shard
+  /// in ONE /query_batch request (one connection, one parse, one deadline
+  /// budget per shard), each shard's envelope is read once, and each query
+  /// merges with the exact per-query merge. Top-k needs no exchange between
+  /// shards: each shard's local top-k over its disjoint documents, merged
+  /// k-way, is the exact global top-k. A query still carrying
+  /// "require_complete" gets the router's own 400 and is not forwarded; a
+  /// shard's per-query 4xx is that query's result; every other query goes
+  /// through MergeShardBodies. `timer` stamps each merged body's
+  /// "elapsed_ms".
+  RoutedQueries RouteQueries(std::vector<json::Value> queries,
+                             bool require_complete, const Timer& timer);
+
+  /// Runs the scatter-gather of `forward_body` to every shard's
+  /// /query_batch endpoint.
   std::vector<ShardOutcome> ScatterGather(const std::string& forward_body,
-                                          int shard_deadline_ms,
-                                          const std::string& target);
+                                          int shard_deadline_ms);
 
   /// Merges one query's shard bodies into `*out` and returns its HTTP
   /// status: 504 when no shard answered, or when a shard is missing and the

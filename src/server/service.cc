@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <optional>
 #include <set>
 #include <thread>
 #include <unordered_map>
@@ -101,20 +102,6 @@ struct ParsedRequest {
   int64_t top_k = -1;        // < 0 = no top-k cutoff
   bool rank = false;         // ranked evaluation ("top_k" implies it)
   bool rank_explicit = false;
-};
-
-// Sharing state of one term-connected batch group, threaded into RunParsed
-// for every item of the group. One instance per group, used by one thread.
-struct BatchShared {
-  // Scan-result memo shared by the group's items (query/batch.h).
-  query::ScanMemo* scan_memo = nullptr;
-  // Hoisted conjunctive pre-check verdicts, keyed "<doc>\x1f<folded term>":
-  // whether the document's postings for the term are non-empty. The
-  // pre-check is unmetered, so reusing a verdict is invisible to per-item
-  // metrics.
-  std::unordered_map<std::string, bool>* term_presence = nullptr;
-  // Pre-check lookups answered from term_presence.
-  uint64_t postings_shared = 0;
 };
 
 namespace {
@@ -296,6 +283,22 @@ Status DecodeRequest(const json::Value& root, bool allow_debug_sleep,
   return Status::OK();
 }
 
+// The one decoder behind a /query body and each /query_batch item. On
+// failure returns the structured error outcome, with the XQL diagnostic
+// fields ("offset", "snippet") merged into its body.
+std::optional<QueryOutcome> DecodeQuery(const json::Value& root,
+                                        bool allow_debug_sleep,
+                                        ParsedRequest* out) {
+  json::Value error_extra = json::Value::Object();
+  Status decoded = DecodeRequest(root, allow_debug_sleep, out, &error_extra);
+  if (decoded.ok()) return std::nullopt;
+  QueryOutcome outcome = ErrorOutcome(decoded);
+  for (const auto& [key, value] : error_extra.members()) {
+    outcome.body.Set(key, value);
+  }
+  return outcome;
+}
+
 // The normalized-request cache key: terms case-folded (the index folds them
 // anyway) and sorted (conjunctive semantics are order-free), then every
 // field that can change the response body. '\x1f'/'\x1e' separators keep
@@ -419,22 +422,15 @@ QueryOutcome QueryService::HandleQuery(std::string_view body_text) const {
   }
 
   ParsedRequest request;
-  json::Value error_extra = json::Value::Object();
-  Status decoded = DecodeRequest(*root, options_.enable_debug_sleep, &request,
-                                 &error_extra);
-  if (!decoded.ok()) {
-    QueryOutcome outcome = ErrorOutcome(decoded);
-    for (const auto& [key, value] : error_extra.members()) {
-      outcome.body.Set(key, value);
-    }
-    return outcome;
+  if (auto error = DecodeQuery(*root, options_.enable_debug_sleep, &request)) {
+    return std::move(*error);
   }
-  return RunParsed(request, timer, nullptr);
+  return RunParsed(request, timer, /*memo=*/nullptr);
 }
 
 QueryOutcome QueryService::RunParsed(ParsedRequest& request,
                                      const Timer& timer,
-                                     BatchShared* shared) const {
+                                     query::ScanMemo* memo) const {
   // Serve from the result cache when possible: a hit costs one key build and
   // one map lookup, and the engine never runs — the outcome carries zero
   // metrics, which is how the loopback tests prove the hit was served
@@ -515,31 +511,44 @@ QueryOutcome QueryService::RunParsed(ParsedRequest& request,
   std::unordered_map<doc::SubtreeClassId, StoredDocResult> evaluated_classes;
   size_t documents_deduplicated = 0;
 
+  // Feeds one document's result — evaluated or replayed — into the
+  // response: ranked hits (raising the running floor), or unranked answers
+  // under the max_answers cut.
+  auto add_document = [&](size_t i, std::vector<query::RankedAnswer> ranked,
+                          const algebra::FragmentSet& document_answers) {
+    ++documents_evaluated;
+    if (ranked_mode) {
+      for (query::RankedAnswer& answer : ranked) {
+        if (self_seed) {
+          best_scores.insert(answer.score);
+          if (best_scores.size() > static_cast<size_t>(request.top_k)) {
+            best_scores.erase(best_scores.begin());
+          }
+        }
+        hits.push_back(RankedHit{answer.score, i, std::move(answer.fragment)});
+      }
+      return;
+    }
+    const collection::CollectionEntry& entry = collection_.entry(i);
+    for (const Fragment& fragment : document_answers.Sorted()) {
+      ++answer_count;
+      if (request.max_answers >= 0 &&
+          answers.size() >= static_cast<size_t>(request.max_answers)) {
+        truncated = true;
+        continue;
+      }
+      answers.Append(AnswerToJson(entry.name, i, fragment, entry.document,
+                                  request.include_xml));
+    }
+  };
+
   for (size_t i = 0; i < collection_.size(); ++i) {
     const collection::CollectionEntry& entry = collection_.entry(i);
     // Conjunctive pre-check, as in CollectionEngine: a document missing any
     // term cannot contribute answers, so skip it without building a plan.
-    // Within a batch group the verdict is hoisted into the shared presence
-    // map, so the group's items probe each (document, term) pair once.
     bool has_all_terms = true;
     for (const std::string& term : request.query.terms) {
-      bool present;
-      if (shared != nullptr) {
-        std::string presence_key = StrFormat("%zu", i);
-        presence_key += '\x1f';
-        presence_key += AsciiToLower(term);
-        auto it = shared->term_presence->find(presence_key);
-        if (it != shared->term_presence->end()) {
-          ++shared->postings_shared;
-          present = it->second;
-        } else {
-          present = !entry.index.Lookup(term).empty();
-          shared->term_presence->emplace(std::move(presence_key), present);
-        }
-      } else {
-        present = !entry.index.Lookup(term).empty();
-      }
-      if (!present) {
+      if (entry.index.Lookup(term).empty()) {
         has_all_terms = false;
         break;
       }
@@ -560,30 +569,8 @@ QueryOutcome QueryService::RunParsed(ParsedRequest& request,
         // the response body is bit-identical to evaluating this document.
         const StoredDocResult& stored = it->second;
         outcome.metrics.Merge(stored.metrics);
-        ++documents_evaluated;
         ++documents_deduplicated;
-        if (ranked_mode) {
-          for (const query::RankedAnswer& answer : stored.ranked) {
-            if (self_seed) {
-              best_scores.insert(answer.score);
-              if (best_scores.size() > static_cast<size_t>(request.top_k)) {
-                best_scores.erase(best_scores.begin());
-              }
-            }
-            hits.push_back(RankedHit{answer.score, i, answer.fragment});
-          }
-        } else {
-          for (const Fragment& fragment : stored.answers.Sorted()) {
-            ++answer_count;
-            if (request.max_answers >= 0 &&
-                answers.size() >= static_cast<size_t>(request.max_answers)) {
-              truncated = true;
-              continue;
-            }
-            answers.Append(AnswerToJson(entry.name, i, fragment,
-                                        entry.document, request.include_xml));
-          }
-        }
+        add_document(i, stored.ranked, stored.answers);
         continue;
       }
     }
@@ -591,10 +578,8 @@ QueryOutcome QueryService::RunParsed(ParsedRequest& request,
     query::EvalOptions eval = request.eval;
     eval.executor.fixed_point_cache = caches_[i].get();
     eval.executor.subtree_classes = &entry.classes;
-    if (shared != nullptr) {
-      eval.executor.scan_memo = shared->scan_memo;
-      eval.executor.scan_memo_document = i;
-    }
+    eval.executor.scan_memo = memo;
+    eval.executor.scan_memo_document = i;
     if (ranked_mode) eval.top_k = effective_k;
     if (self_seed && best_scores.size() >= static_cast<size_t>(request.top_k)) {
       eval.executor.score_floor = *best_scores.begin();
@@ -618,7 +603,6 @@ QueryOutcome QueryService::RunParsed(ParsedRequest& request,
       }
       return error;
     }
-    ++documents_evaluated;
     if (dedup_this_document) {
       StoredDocResult stored;
       stored.metrics = partial;
@@ -627,28 +611,7 @@ QueryOutcome QueryService::RunParsed(ParsedRequest& request,
       evaluated_classes.emplace(entry.classes.root_class(),
                                 std::move(stored));
     }
-    if (ranked_mode) {
-      for (query::RankedAnswer& answer : result->ranked) {
-        if (self_seed) {
-          best_scores.insert(answer.score);
-          if (best_scores.size() > static_cast<size_t>(request.top_k)) {
-            best_scores.erase(best_scores.begin());
-          }
-        }
-        hits.push_back(RankedHit{answer.score, i, std::move(answer.fragment)});
-      }
-    } else {
-      for (const Fragment& fragment : result->answers.Sorted()) {
-        ++answer_count;
-        if (request.max_answers >= 0 &&
-            answers.size() >= static_cast<size_t>(request.max_answers)) {
-          truncated = true;
-          continue;
-        }
-        answers.Append(AnswerToJson(entry.name, i, fragment, entry.document,
-                                    request.include_xml));
-      }
-    }
+    add_document(i, std::move(result->ranked), result->answers);
     if (request.explain) {
       json::Value explain = json::Value::Object();
       explain.Set("document", entry.name);
@@ -757,10 +720,7 @@ QueryOutcome QueryService::HandleQueryBatch(std::string_view body_text) const {
 
   struct Item {
     ParsedRequest request;
-    bool runnable = false;
-    int http_status = 0;
-    json::Value body;
-    algebra::OpMetrics metrics;
+    QueryOutcome outcome;
     bool result_cache_hit = false;
   };
   std::vector<Item> items(queries->size());
@@ -770,19 +730,11 @@ QueryOutcome QueryService::HandleQueryBatch(std::string_view body_text) const {
   std::vector<size_t> runnable;  // original index per runnable position
   for (size_t i = 0; i < queries->size(); ++i) {
     Item& item = items[i];
-    json::Value error_extra = json::Value::Object();
-    Status decoded = DecodeRequest((*queries)[i], options_.enable_debug_sleep,
-                                   &item.request, &error_extra);
-    if (!decoded.ok()) {
-      QueryOutcome error = ErrorOutcome(decoded);
-      item.http_status = error.http_status;
-      item.body = std::move(error.body);
-      for (const auto& [key, value] : error_extra.members()) {
-        item.body.Set(key, value);
-      }
+    if (auto error = DecodeQuery((*queries)[i], options_.enable_debug_sleep,
+                                 &item.request)) {
+      item.outcome = std::move(*error);
       continue;
     }
-    item.runnable = true;
     runnable.push_back(i);
   }
 
@@ -801,27 +753,23 @@ QueryOutcome QueryService::HandleQueryBatch(std::string_view body_text) const {
       query::GroupQueriesByTerms(runnable_queries);
 
   std::atomic<uint64_t> subplans_shared{0};
-  std::atomic<uint64_t> postings_shared{0};
   auto run_group = [&](const std::vector<size_t>& members) {
-    query::ScanMemo memo;
-    std::unordered_map<std::string, bool> term_presence;
-    BatchShared shared{&memo, &term_presence, 0};
+    // A group of one has nothing to share, and the memo copies every scan
+    // result it stores: a lone item runs exactly as a /query does.
+    std::optional<query::ScanMemo> memo;
+    if (members.size() > 1) memo.emplace();
     for (size_t member : members) {
       Item& item = items[runnable[member]];
       Timer item_timer;
-      QueryOutcome outcome = RunParsed(item.request, item_timer, &shared);
-      item.result_cache_hit = outcome.http_status == 200 &&
-                              outcome.body.Find("result_cache") != nullptr;
-      item.http_status = outcome.http_status;
-      item.body = std::move(outcome.body);
-      item.metrics = outcome.metrics;
+      item.outcome = RunParsed(item.request, item_timer,
+                               memo.has_value() ? &*memo : nullptr);
+      item.result_cache_hit =
+          item.outcome.http_status == 200 &&
+          item.outcome.body.Find("result_cache") != nullptr;
     }
-    // A memo hit is a scan sub-plan answered without touching the postings:
-    // it counts once as a shared sub-plan and once as a shared posting
-    // decode; hoisted pre-check reuses add to the latter.
-    subplans_shared.fetch_add(memo.hits(), std::memory_order_relaxed);
-    postings_shared.fetch_add(memo.hits() + shared.postings_shared,
-                              std::memory_order_relaxed);
+    if (memo.has_value()) {
+      subplans_shared.fetch_add(memo->hits(), std::memory_order_relaxed);
+    }
   };
   const size_t group_parallelism = std::min<size_t>(
       options_.batch_parallelism == 0 ? 1 : options_.batch_parallelism,
@@ -845,10 +793,10 @@ QueryOutcome QueryService::HandleQueryBatch(std::string_view body_text) const {
   for (Item& item : items) {
     if (item.result_cache_hit) ++cache_hits;
     json::Value entry = json::Value::Object();
-    entry.Set("status", static_cast<int64_t>(item.http_status));
-    entry.Set("body", std::move(item.body));
+    entry.Set("status", static_cast<int64_t>(item.outcome.http_status));
+    entry.Set("body", std::move(item.outcome.body));
     results.Append(std::move(entry));
-    outcome.metrics.Merge(item.metrics);
+    outcome.metrics.Merge(item.outcome.metrics);
   }
   const uint64_t evaluated =
       static_cast<uint64_t>(runnable.size()) - cache_hits;
@@ -859,8 +807,6 @@ QueryOutcome QueryService::HandleQueryBatch(std::string_view body_text) const {
   batch.Set("result_cache_hits", cache_hits);
   batch.Set("subplans_shared",
             subplans_shared.load(std::memory_order_relaxed));
-  batch.Set("postings_shared",
-            postings_shared.load(std::memory_order_relaxed));
   json::Value body = json::Value::Object();
   body.Set("results", std::move(results));
   body.Set("batch", std::move(batch));
@@ -872,9 +818,6 @@ QueryOutcome QueryService::HandleQueryBatch(std::string_view body_text) const {
   batch_result_cache_hits_.fetch_add(cache_hits, std::memory_order_relaxed);
   batch_subplans_shared_.fetch_add(
       subplans_shared.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  batch_postings_shared_.fetch_add(
-      postings_shared.load(std::memory_order_relaxed),
       std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(batch_mu_);
@@ -891,8 +834,6 @@ json::Value QueryService::BatchStatsJson() const {
            batch_result_cache_hits_.load(std::memory_order_relaxed));
   body.Set("subplans_shared",
            batch_subplans_shared_.load(std::memory_order_relaxed));
-  body.Set("postings_shared",
-           batch_postings_shared_.load(std::memory_order_relaxed));
   {
     std::lock_guard<std::mutex> lock(batch_mu_);
     body.Set("size", StatsRegistry::LatencyToJson(batch_sizes_));

@@ -110,7 +110,6 @@ struct ServiceOptions {
 };
 
 struct ParsedRequest;  // service.cc: one decoded /query request
-struct BatchShared;    // service.cc: per-group sharing state of one batch
 
 /// \brief Result of handling one /query request.
 struct QueryOutcome {
@@ -138,7 +137,7 @@ class QueryService {
   /// sharing. The response is always HTTP 200 with
   ///   {"results": [{"status": N, "body": {...}}, ...],
   ///    "batch": {items, groups, evaluated, result_cache_hits,
-  ///              subplans_shared, postings_shared},
+  ///              subplans_shared},
   ///    "elapsed_ms": ...}
   /// where results[i].body is byte-identical (modulo elapsed_ms) to what a
   /// sequential POST /query of item i would have returned — including
@@ -185,11 +184,10 @@ class QueryService {
 
  private:
   /// \brief Runs one decoded request end to end (result-cache lookup,
-  /// deadline, per-document evaluation, rendering, cache fill). `shared`,
-  /// when non-null, wires the batch sharing state of the item's group into
-  /// the evaluation (scan memo, hoisted term-presence prechecks).
+  /// deadline, per-document evaluation, rendering, cache fill). `memo`,
+  /// when non-null, is the scan memo the item's batch group shares.
   QueryOutcome RunParsed(ParsedRequest& request, const Timer& timer,
-                         BatchShared* shared) const;
+                         query::ScanMemo* memo) const;
 
   const collection::Collection& collection_;
   ServiceOptions options_;
@@ -212,7 +210,6 @@ class QueryService {
   mutable std::atomic<uint64_t> batch_items_{0};
   mutable std::atomic<uint64_t> batch_result_cache_hits_{0};
   mutable std::atomic<uint64_t> batch_subplans_shared_{0};
-  mutable std::atomic<uint64_t> batch_postings_shared_{0};
   /// Batch-size histogram ("size" in the batch metrics section); guarded by
   /// batch_mu_ (LatencyHistogram is synchronization-free by design).
   mutable std::mutex batch_mu_;

@@ -1,9 +1,10 @@
-// Batched evaluation (query/batch.h): EvaluateBatch must be byte-identical
-// per item — answers, insertion order, and every deterministic metric — to
-// evaluating the same queries one by one, while the shared scan memo
-// actually shares work inside term-connected groups. Also covers the
-// union-find grouping (disjoint terms → separate groups, transitive sharing
-// and case folding → one group) and null-item error isolation.
+// Batched evaluation (query/batch.h): items evaluated through one ScanMemo
+// per term-connected group (ExecutorOptions::scan_memo, as the server's
+// batch handler does) must be byte-identical per item — answers, insertion
+// order, and every deterministic metric — to evaluating the same queries
+// one by one, while the memo actually shares work inside the group. Also
+// covers the union-find grouping (disjoint terms → separate groups,
+// transitive sharing and case folding → one group) and the memo key.
 
 #include "query/batch.h"
 
@@ -52,6 +53,30 @@ class BatchTest : public ::testing::Test {
     return q;
   }
 
+  // Evaluates `queries` group by group, in submission order inside each
+  // group, with one ScanMemo per group. Adds the memo hits to
+  // `*subplans_shared` and returns one result per query.
+  std::vector<StatusOr<EvalResult>> EvaluateSharingScans(
+      const std::vector<const Query*>& queries, const EvalOptions& options,
+      const std::vector<std::vector<size_t>>& groups,
+      uint64_t* subplans_shared) const {
+    std::vector<StatusOr<EvalResult>> results;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      results.push_back(Status::Internal("unevaluated"));
+    }
+    for (const std::vector<size_t>& members : groups) {
+      ScanMemo memo;
+      for (size_t member : members) {
+        EvalOptions shared = options;
+        shared.executor.scan_memo = &memo;
+        shared.executor.scan_memo_document = 0;
+        results[member] = engine_->Evaluate(*queries[member], shared);
+      }
+      *subplans_shared += memo.hits();
+    }
+    return results;
+  }
+
   // Asserts batch item `batch` is byte-identical to the lone evaluation
   // `alone`: same answers in the same insertion order, same deterministic
   // metrics, same strategy.
@@ -88,12 +113,13 @@ TEST_F(BatchTest, MatchesSequentialEvaluationAcrossStrategiesAndTopK) {
       EvalOptions options;
       options.strategy = strategy;
       options.top_k = top_k;
-      std::vector<BatchItem> items;
-      for (const Query& q : queries) items.push_back(BatchItem{&q, options});
+      std::vector<const Query*> items;
+      for (const Query& q : queries) items.push_back(&q);
 
-      BatchEvalStats stats;
-      auto batched = EvaluateBatch(*document_, *index_, items,
-                                   /*document_index=*/0, &stats);
+      const auto groups = GroupQueriesByTerms(items);
+      uint64_t subplans_shared = 0;
+      auto batched =
+          EvaluateSharingScans(items, options, groups, &subplans_shared);
       ASSERT_EQ(batched.size(), items.size());
       for (size_t i = 0; i < items.size(); ++i) {
         auto alone = engine_->Evaluate(queries[i], options);
@@ -106,10 +132,10 @@ TEST_F(BatchTest, MatchesSequentialEvaluationAcrossStrategiesAndTopK) {
       }
       // "alpha" connects items 0, 1, 3, 4; item 2's {gamma, delta} touches
       // no other item: exactly two groups.
-      EXPECT_EQ(stats.groups, 2u);
+      EXPECT_EQ(groups.size(), 2u);
       // "alpha" is scanned by items 0, 1, 3, 4 and "beta" by 1 and 4: the
       // memo must have answered at least the repeats.
-      EXPECT_GT(stats.subplans_shared, 0u);
+      EXPECT_GT(subplans_shared, 0u);
     }
   }
 }
@@ -117,16 +143,16 @@ TEST_F(BatchTest, MatchesSequentialEvaluationAcrossStrategiesAndTopK) {
 TEST_F(BatchTest, SharedScansAreMemoizedWithinAGroup) {
   const Query a = MakeQuery({"alpha", "beta"});
   const Query b = MakeQuery({"beta", "gamma"});
-  EvalOptions options;
-  std::vector<BatchItem> items = {{&a, options}, {&b, options}};
-  BatchEvalStats stats;
+  std::vector<const Query*> items = {&a, &b};
+  const auto groups = GroupQueriesByTerms(items);
+  uint64_t subplans_shared = 0;
   auto results =
-      EvaluateBatch(*document_, *index_, items, /*document_index=*/0, &stats);
+      EvaluateSharingScans(items, EvalOptions{}, groups, &subplans_shared);
   ASSERT_TRUE(results[0].ok());
   ASSERT_TRUE(results[1].ok());
-  EXPECT_EQ(stats.groups, 1u);  // "beta" links the two items
+  EXPECT_EQ(groups.size(), 1u);  // "beta" links the two items
   // Item b's "beta" scan is answered from the memo.
-  EXPECT_GE(stats.subplans_shared, 1u);
+  EXPECT_GE(subplans_shared, 1u);
 }
 
 TEST_F(BatchTest, GroupingIsByConnectedComponentsWithCaseFolding) {
@@ -139,19 +165,6 @@ TEST_F(BatchTest, GroupingIsByConnectedComponentsWithCaseFolding) {
   ASSERT_EQ(groups.size(), 2u);
   EXPECT_EQ(groups[0], (std::vector<size_t>{0, 1, 2}));
   EXPECT_EQ(groups[1], (std::vector<size_t>{3}));
-}
-
-TEST_F(BatchTest, NullItemFailsAloneWithoutPoisoningTheBatch) {
-  const Query a = MakeQuery({"alpha"});
-  EvalOptions options;
-  std::vector<BatchItem> items = {{&a, options}, {nullptr, options},
-                                  {&a, options}};
-  auto results = EvaluateBatch(*document_, *index_, items);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_TRUE(results[0].ok());
-  ASSERT_FALSE(results[1].ok());
-  EXPECT_EQ(results[1].status().code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(results[2].ok());
 }
 
 TEST_F(BatchTest, ScanMemoKeyFoldsCaseAndSeparatesDocuments) {

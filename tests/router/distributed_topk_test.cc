@@ -1,5 +1,5 @@
 // The distributed top-k exactness oracle: /query with "top_k" is ONE scatter
-// of the client body and an exact k-way merge. Shards hold disjoint
+// of the client query and an exact k-way merge. Shards hold disjoint
 // documents and the engine ranks one document at a time, so each shard's
 // local top-k, merged, is the global top-k; no bound travels between shards.
 //
@@ -124,7 +124,7 @@ class DistributedTopKTestBase : public ::testing::Test {
   }
 
   /// Hedging and health probes off: every client /query is then exactly one
-  /// /query per shard, which the suite counts.
+  /// backend request per shard, which the suite counts.
   static std::unique_ptr<Router> StartRouter(ShardMap map) {
     RouterOptions options;
     options.enable_hedging = false;
@@ -261,7 +261,7 @@ class DistributedTopKTest : public DistributedTopKTestBase,
 
   /// Waits for the shards' request counters to settle (a shard records a
   /// request just after writing its response), then checks that every
-  /// client query cost exactly one /query per shard: one scatter.
+  /// client query cost exactly one backend request per shard: one scatter.
   static void ExpectOneScatterPerQuery(
       const std::vector<std::unique_ptr<server::Server>>& shards,
       uint64_t queries) {

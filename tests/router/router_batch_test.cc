@@ -201,6 +201,17 @@ TEST_F(RouterBatchTest, BatchItemsByteIdenticalToCombinedSequential) {
   }
   EXPECT_EQ(router->partials_served(), 0u);
 
+  // The fleet-wide top-k pruning counter counts batch items too: it holds
+  // the merged "pairs_rejected_score" of the one top-k item (item 2).
+  const json::Value* topk_metrics =
+      (*results)[2].Find("body")->Find("metrics");
+  ASSERT_NE(topk_metrics, nullptr);
+  const int64_t topk_rejected =
+      topk_metrics->Find("pairs_rejected_score")->AsInt();
+  EXPECT_GT(topk_rejected, 0);
+  EXPECT_EQ(router->topk_pairs_rejected(),
+            static_cast<uint64_t>(topk_rejected));
+
   // The router /metrics "batch" section saw this batch.
   auto raw = server::HttpRoundTrip(
       "127.0.0.1", router->port(),
@@ -224,6 +235,7 @@ TEST_F(RouterBatchTest, BatchItemsByteIdenticalToCombinedSequential) {
 }
 
 TEST_F(RouterBatchTest, EnvelopeAndPerItemValidation) {
+  auto combined_node = StartNode(*combined_);
   auto shards = StartShards();
   RouterOptions options = QuietRouterOptions();
   options.batch_max_items = 2;
@@ -239,8 +251,8 @@ TEST_F(RouterBatchTest, EnvelopeAndPerItemValidation) {
                 ->status,
             400);
 
-  // Per-item errors come back per item: router-internal protocol fields,
-  // batch-envelope switches on an item, and non-object items.
+  // Per-item errors come back per item: router-internal protocol fields
+  // and batch-envelope switches on an item.
   auto response = Post(
       router->port(), "/query_batch",
       R"([{"terms":["algebra"],"score_floor":1.5},)"
@@ -253,6 +265,34 @@ TEST_F(RouterBatchTest, EnvelopeAndPerItemValidation) {
   ASSERT_EQ(results->size(), 2u);
   EXPECT_EQ((*results)[0].Find("status")->AsInt(), 400);
   EXPECT_EQ((*results)[1].Find("status")->AsInt(), 400);
+
+  // Non-object items reach the shards' decoder like any other item: each
+  // 400 body is byte-identical to the combined node's for the same batch.
+  const std::string scalars = R"([5,"x"])";
+  auto routed = Post(router->port(), "/query_batch", scalars);
+  auto combined = Post(combined_node->port(), "/query_batch", scalars);
+  ASSERT_TRUE(routed.ok());
+  ASSERT_TRUE(combined.ok());
+  ASSERT_EQ(routed->status, 200) << routed->body;
+  ASSERT_EQ(combined->status, 200) << combined->body;
+  auto routed_body = json::Parse(routed->body);
+  auto combined_body = json::Parse(combined->body);
+  ASSERT_TRUE(routed_body.ok());
+  ASSERT_TRUE(combined_body.ok());
+  const json::Value* routed_results = routed_body->Find("results");
+  const json::Value* combined_results = combined_body->Find("results");
+  ASSERT_EQ(routed_results->size(), 2u);
+  ASSERT_EQ(combined_results->size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    const json::Value& item = (*routed_results)[i];
+    EXPECT_EQ(item.Find("status")->AsInt(), 400) << "item " << i;
+    EXPECT_EQ(item.Find("status")->AsInt(),
+              (*combined_results)[i].Find("status")->AsInt())
+        << "item " << i;
+    EXPECT_EQ(item.Find("body")->Dump(),
+              (*combined_results)[i].Find("body")->Dump())
+        << "item " << i;
+  }
 
   // Every field of the retired top-k bound exchange is an unknown field to
   // the shards' decoder: a per-item 400 that leaves its neighbour intact.
@@ -284,6 +324,7 @@ TEST_F(RouterBatchTest, EnvelopeAndPerItemValidation) {
 
   router->Shutdown();
   for (auto& shard : shards) shard->Shutdown();
+  combined_node->Shutdown();
 }
 
 TEST_F(RouterBatchTest, DeadShardDegradesPerItem) {

@@ -134,13 +134,13 @@ class RouterIntegrationTest : public ::testing::Test {
     return options;
   }
 
-  static StatusOr<server::HttpResponse> Post(uint16_t port,
-                                             const std::string& body,
-                                             int timeout_ms = 30000) {
+  static StatusOr<server::HttpResponse> Post(
+      uint16_t port, const std::string& body, int timeout_ms = 30000,
+      const std::string& target = "/query") {
     std::string request = StrFormat(
-        "POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: %zu\r\n"
+        "POST %s HTTP/1.1\r\nHost: t\r\nContent-Length: %zu\r\n"
         "Connection: close\r\n\r\n",
-        body.size());
+        target.c_str(), body.size());
     request += body;
     auto raw = server::HttpRoundTrip("127.0.0.1", port, request, timeout_ms);
     if (!raw.ok()) return raw.status();
@@ -514,6 +514,30 @@ TEST_F(RouterIntegrationTest, SlowShardsMissDeadlineButRouterNeverHangs) {
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_EQ(response->status, 504) << response->body;
   EXPECT_LT(elapsed, 2500) << "router waited past the deadline";
+
+  // A batch's gather budget is the widest item deadline, not the router's
+  // default: two items that each allow 150 ms answer per-item 504s just as
+  // promptly.
+  start = std::chrono::steady_clock::now();
+  auto batch = Post(
+      router->port(),
+      R"([{"terms":["algebra"],"debug_sleep_ms":3000,"deadline_ms":150},)"
+      R"({"terms":["query"],"debug_sleep_ms":3000,"deadline_ms":150}])",
+      30000, "/query_batch");
+  elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::steady_clock::now() - start)
+                .count();
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_EQ(batch->status, 200) << batch->body;
+  auto parsed = json::Parse(batch->body);
+  ASSERT_TRUE(parsed.ok()) << batch->body;
+  const json::Value* results = parsed->Find("results");
+  ASSERT_NE(results, nullptr) << batch->body;
+  ASSERT_EQ(results->size(), 2u);
+  for (const json::Value& item : results->items()) {
+    EXPECT_EQ(item.Find("status")->AsInt(), 504) << batch->body;
+  }
+  EXPECT_LT(elapsed, 2500) << "router waited past the item deadlines";
 
   router->Shutdown();
   for (auto& shard : shards) shard->Shutdown();

@@ -210,7 +210,6 @@ TEST(BatchEquivalenceTest, BatchSectionReportsGroupsAndSharing) {
   EXPECT_EQ(batch->Find("evaluated")->AsInt(), 3);
   // "xquery" is scanned once per document instead of twice.
   EXPECT_GT(batch->Find("subplans_shared")->AsInt(), 0);
-  EXPECT_GT(batch->Find("postings_shared")->AsInt(), 0);
 }
 
 TEST(BatchEquivalenceTest, EnvelopeErrorsAreWholeRequest400s) {
