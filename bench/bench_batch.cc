@@ -3,9 +3,10 @@
 // shards over one planted corpus) via POST /query_batch, at batch sizes 1,
 // 8, and 64 in full and top-k(=10) modes. The aggregate-throughput story:
 // one batch pays one client connection, one admission slot, one JSON parse,
-// and ONE scatter per shard for all its items, and the shards share term
-// scans and warm fixed-point closures across items — so queries/sec rises
-// steeply with the batch size while every per-item body stays exact.
+// and ONE scatter per shard for all its items, and each shard runs the
+// items in order as /query runs over warm fixed-point closures — so
+// queries/sec rises steeply with the batch size while every per-item body
+// stays exact.
 //
 // Every row is exactness-checked after its measured run: the batch is
 // posted once more and each item compared byte-for-byte (modulo

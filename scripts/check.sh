@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate plus sanitizer passes over the algebra kernels and the server.
 #
-#   scripts/check.sh            # build + full ctest + ASan + TSan server stage
+#   scripts/check.sh            # build + full ctest + ASan + TSan + UBSan
 #   scripts/check.sh --fast     # skip the sanitizer builds
 #
 # The first stage is exactly the tier-1 contract from ROADMAP.md: configure,
@@ -16,18 +16,21 @@
 # FixedPointCache hammer, the collection fan-out, and the serial DAG and
 # prefilter equivalence suites — and `storage`, the mmap snapshot
 # corruption/fuzz suites) under ASan — the kernels that do manual
-# arena/buffer/mmap work — and finally rebuild with
+# arena/buffer/mmap work — then rebuild with
 # -DXFRAG_SANITIZE=thread and run everything labelled `server` (the xfragd
 # loopback integration suite, the /admin/reload epoch-swap suite, and the
 # /query_batch byte-identity suite included), `router` (the scatter-gather
 # tier with its hedging, cancellation, and batch-scatter paths), and
 # `parallel` (ThreadPool, the FixedPointCache hammer, and the collection
 # fan-out) under TSan, since those are the places worker threads share an
-# engine, a pool, or caches. The batched-evaluation suites ride the
-# existing stages: query/batch_test in tier-1 ctest and the ASan query_test
-# run, server/batch_equivalence_test under `-L server`, and
-# router/router_batch_test under `-L router` — both in tier-1 and again
-# under TSan. The XQL language suite (`-L lang`: parser round-trip,
+# engine, a pool, or caches. Finally -DXFRAG_SANITIZE=undefined runs the
+# `server`, `router`, `storage` and `lang` labels plus algebra_test and
+# query_test with halt_on_error, so any undefined behaviour (overflowing
+# casts, misaligned mmap reads, bad shifts) fails the stage instead of only
+# printing. The batch suites ride these stages:
+# server/batch_equivalence_test under `-L server` and
+# router/router_batch_test under `-L router` — in tier-1 and again under
+# TSan and UBSan. The XQL language suite (`-L lang`: parser round-trip,
 # lowering 1:1, the mutation/token-soup fuzz corpus, the JSON↔XQL
 # byte-identity property suite, and the REPL golden-transcript smoke)
 # runs in tier-1 and again under ASan, where the fuzz corpus must be
@@ -118,5 +121,18 @@ echo "== tsan: run =="
 # The `parallel` label under TSan: ThreadPool, the FixedPointCache hammer
 # and the collection's per-document fan-out must be data-race-free.
 (cd build-tsan && ctest -L parallel --output-on-failure -j "$JOBS")
+
+echo "== ubsan: build server + router + storage + lang + algebra + query =="
+cmake -B build-ubsan -S . -DXFRAG_SANITIZE=undefined >/dev/null
+cmake --build build-ubsan -j "$JOBS" --target server_test router_test \
+  storage_test lang_test algebra_test query_test xfrag_repl
+
+echo "== ubsan: run =="
+# Without halt_on_error UBSan only prints its report and the test passes.
+export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
+(cd build-ubsan && ctest -L 'server|router|storage|lang' --output-on-failure \
+  -j "$JOBS")
+./build-ubsan/tests/algebra_test
+./build-ubsan/tests/query_test
 
 echo "== check.sh: all stages passed =="

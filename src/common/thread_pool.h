@@ -1,7 +1,6 @@
 // A small fixed-size thread pool with deterministic chunked fan-out — the
-// execution substrate for the collection engine's per-document fan-out, the
-// query service's term-disjoint batch groups, and (through Post) the HTTP
-// server's and router's worker threads.
+// execution substrate for the collection engine's per-document fan-out and
+// (through Post) the HTTP server's and router's worker threads.
 //
 // Design constraints:
 //  * no work stealing: ParallelFor statically partitions [0, n) into one

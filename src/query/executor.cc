@@ -1,7 +1,6 @@
 #include "query/executor.h"
 
 #include "common/logging.h"
-#include "query/batch.h"
 
 namespace xfrag::query {
 
@@ -50,43 +49,17 @@ StatusOr<FragmentSet> Execute(const PlanNode& node,
   if (ShouldStop(options.cancel)) return DeadlineError();
   switch (node.kind) {
     case PlanNodeKind::kScanKeyword: {
-      std::string memo_key;
-      if (options.scan_memo != nullptr) {
-        memo_key = ScanMemo::Key(
-            options.scan_memo_document, node.term,
-            node.filter != nullptr ? node.filter->ToString() : std::string());
-        if (const ScanMemo::Entry* hit = options.scan_memo->Find(memo_key)) {
-          // Replaying the stored deltas keeps the memoized path
-          // byte-identical to re-decoding: scan metrics depend only on the
-          // postings and the filter, never on execution order.
-          if (metrics != nullptr) {
-            metrics->filter_evals += hit->filter_evals;
-            metrics->filter_rejections += hit->filter_rejections;
-          }
-          return hit->result;
-        }
-      }
       FragmentSet out;
-      uint64_t evals = 0;
-      uint64_t rejections = 0;
       for (doc::NodeId n : index.Lookup(node.term)) {
         Fragment f = Fragment::Single(n);
         if (node.filter != nullptr) {
-          ++evals;
+          if (metrics != nullptr) ++metrics->filter_evals;
           if (!node.filter->Matches(f, context)) {
-            ++rejections;
+            if (metrics != nullptr) ++metrics->filter_rejections;
             continue;
           }
         }
         out.Insert(std::move(f));
-      }
-      if (metrics != nullptr) {
-        metrics->filter_evals += evals;
-        metrics->filter_rejections += rejections;
-      }
-      if (!memo_key.empty()) {
-        options.scan_memo->Insert(std::move(memo_key),
-                                  ScanMemo::Entry{out, evals, rejections});
       }
       return out;
     }

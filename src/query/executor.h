@@ -15,8 +15,6 @@
 
 namespace xfrag::query {
 
-class ScanMemo;  // query/batch.h
-
 /// Executor configuration.
 struct ExecutorOptions {
   /// Limits for literal powerset-join nodes (brute-force strategy).
@@ -58,16 +56,6 @@ struct ExecutorOptions {
   /// this when their scorer/accept callbacks are translation-invariant too
   /// (the engine's built-ins all are).
   const doc::SubtreeClassIndex* subtree_classes = nullptr;
-  /// Optional batch-scoped memo of keyword-scan results (query/batch.h).
-  /// Shared by the queries of one term-connected batch group: a kScanKeyword
-  /// hit replays the stored fragment set with the scan's exact
-  /// filter_evals/filter_rejections deltas instead of re-decoding the
-  /// postings, keeping memoized metrics byte-identical to sequential
-  /// evaluation (scan metrics depend only on the postings and the filter,
-  /// never on execution order). NOT thread-safe — one group, one thread, one
-  /// memo. `scan_memo_document` keys entries when one memo spans documents.
-  ScanMemo* scan_memo = nullptr;
-  size_t scan_memo_document = 0;
 };
 
 /// Per-node observation recorded during execution (EXPLAIN ANALYZE).

@@ -10,13 +10,11 @@
 
 #include "common/cancel.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "common/version.h"
 #include "lang/diagnostics.h"
 #include "lang/lower.h"
 #include "query/answers.h"
-#include "query/batch.h"
 #include "server/stats.h"
 
 namespace xfrag::server {
@@ -425,12 +423,11 @@ QueryOutcome QueryService::HandleQuery(std::string_view body_text) const {
   if (auto error = DecodeQuery(*root, options_.enable_debug_sleep, &request)) {
     return std::move(*error);
   }
-  return RunParsed(request, timer, /*memo=*/nullptr);
+  return RunParsed(request, timer);
 }
 
 QueryOutcome QueryService::RunParsed(ParsedRequest& request,
-                                     const Timer& timer,
-                                     query::ScanMemo* memo) const {
+                                     const Timer& timer) const {
   // Serve from the result cache when possible: a hit costs one key build and
   // one map lookup, and the engine never runs — the outcome carries zero
   // metrics, which is how the loopback tests prove the hit was served
@@ -578,8 +575,6 @@ QueryOutcome QueryService::RunParsed(ParsedRequest& request,
     query::EvalOptions eval = request.eval;
     eval.executor.fixed_point_cache = caches_[i].get();
     eval.executor.subtree_classes = &entry.classes;
-    eval.executor.scan_memo = memo;
-    eval.executor.scan_memo_document = i;
     if (ranked_mode) eval.top_k = effective_k;
     if (self_seed && best_scores.size() >= static_cast<size_t>(request.top_k)) {
       eval.executor.score_floor = *best_scores.begin();
@@ -718,95 +713,39 @@ QueryOutcome QueryService::HandleQueryBatch(std::string_view body_text) const {
                   queries->size(), options_.batch_max_items)));
   }
 
-  struct Item {
-    ParsedRequest request;
-    QueryOutcome outcome;
-    bool result_cache_hit = false;
-  };
-  std::vector<Item> items(queries->size());
-  // Decode every item up front, in submission order. A malformed item
-  // becomes a per-item structured 400 — it never poisons the rest of the
-  // batch.
-  std::vector<size_t> runnable;  // original index per runnable position
-  for (size_t i = 0; i < queries->size(); ++i) {
-    Item& item = items[i];
-    if (auto error = DecodeQuery((*queries)[i], options_.enable_debug_sleep,
-                                 &item.request)) {
-      item.outcome = std::move(*error);
-      continue;
-    }
-    runnable.push_back(i);
-  }
-
-  // Partition the runnable items into term-connected groups. Items inside a
-  // group run sequentially in submission order, so every piece of shared
-  // mutable state they can observe (fixed-point cache, result cache)
-  // evolves exactly as under sequential /query requests; distinct groups
-  // touch disjoint term sets — hence disjoint cache keys — and may run on
-  // different workers.
-  std::vector<const query::Query*> runnable_queries;
-  runnable_queries.reserve(runnable.size());
-  for (size_t i : runnable) {
-    runnable_queries.push_back(&items[i].request.query);
-  }
-  std::vector<std::vector<size_t>> groups =
-      query::GroupQueriesByTerms(runnable_queries);
-
-  std::atomic<uint64_t> subplans_shared{0};
-  auto run_group = [&](const std::vector<size_t>& members) {
-    // A group of one has nothing to share, and the memo copies every scan
-    // result it stores: a lone item runs exactly as a /query does.
-    std::optional<query::ScanMemo> memo;
-    if (members.size() > 1) memo.emplace();
-    for (size_t member : members) {
-      Item& item = items[runnable[member]];
-      Timer item_timer;
-      item.outcome = RunParsed(item.request, item_timer,
-                               memo.has_value() ? &*memo : nullptr);
-      item.result_cache_hit =
-          item.outcome.http_status == 200 &&
-          item.outcome.body.Find("result_cache") != nullptr;
-    }
-    if (memo.has_value()) {
-      subplans_shared.fetch_add(memo->hits(), std::memory_order_relaxed);
-    }
-  };
-  const size_t group_parallelism = std::min<size_t>(
-      options_.batch_parallelism == 0 ? 1 : options_.batch_parallelism,
-      groups.size());
-  if (group_parallelism > 1) {
-    ThreadPool pool(static_cast<unsigned>(group_parallelism));
-    pool.ParallelFor(groups.size(),
-                     [&](unsigned /*chunk*/, size_t begin, size_t end) {
-                       for (size_t g = begin; g < end; ++g) {
-                         run_group(groups[g]);
-                       }
-                     });
-  } else {
-    for (const std::vector<size_t>& members : groups) run_group(members);
-  }
-
+  // Each item runs exactly as a POST /query of its body would, in
+  // submission order on this thread, so responses and cache state match N
+  // sequential /query calls. A malformed item is its own structured 400 and
+  // never poisons the rest of the batch.
   QueryOutcome outcome;
   outcome.http_status = 200;
+  uint64_t evaluated = 0;
   uint64_t cache_hits = 0;
   json::Value results = json::Value::Array();
-  for (Item& item : items) {
-    if (item.result_cache_hit) ++cache_hits;
+  for (const json::Value& item : queries->items()) {
+    Timer item_timer;
+    ParsedRequest request;
+    std::optional<QueryOutcome> item_outcome =
+        DecodeQuery(item, options_.enable_debug_sleep, &request);
+    if (!item_outcome.has_value()) {
+      item_outcome = RunParsed(request, item_timer);
+      if (item_outcome->http_status == 200 &&
+          item_outcome->body.Find("result_cache") != nullptr) {
+        ++cache_hits;
+      } else {
+        ++evaluated;
+      }
+    }
     json::Value entry = json::Value::Object();
-    entry.Set("status", static_cast<int64_t>(item.outcome.http_status));
-    entry.Set("body", std::move(item.outcome.body));
+    entry.Set("status", static_cast<int64_t>(item_outcome->http_status));
+    entry.Set("body", std::move(item_outcome->body));
     results.Append(std::move(entry));
-    outcome.metrics.Merge(item.outcome.metrics);
+    outcome.metrics.Merge(item_outcome->metrics);
   }
-  const uint64_t evaluated =
-      static_cast<uint64_t>(runnable.size()) - cache_hits;
   json::Value batch = json::Value::Object();
-  batch.Set("items", static_cast<uint64_t>(items.size()));
-  batch.Set("groups", static_cast<uint64_t>(groups.size()));
+  batch.Set("items", static_cast<uint64_t>(queries->size()));
   batch.Set("evaluated", evaluated);
   batch.Set("result_cache_hits", cache_hits);
-  batch.Set("subplans_shared",
-            subplans_shared.load(std::memory_order_relaxed));
   json::Value body = json::Value::Object();
   body.Set("results", std::move(results));
   body.Set("batch", std::move(batch));
@@ -814,14 +753,11 @@ QueryOutcome QueryService::HandleQueryBatch(std::string_view body_text) const {
   outcome.body = std::move(body);
 
   batches_.fetch_add(1, std::memory_order_relaxed);
-  batch_items_.fetch_add(items.size(), std::memory_order_relaxed);
+  batch_items_.fetch_add(queries->size(), std::memory_order_relaxed);
   batch_result_cache_hits_.fetch_add(cache_hits, std::memory_order_relaxed);
-  batch_subplans_shared_.fetch_add(
-      subplans_shared.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(batch_mu_);
-    batch_sizes_.Record(items.size());
+    batch_sizes_.Record(queries->size());
   }
   return outcome;
 }
@@ -832,8 +768,6 @@ json::Value QueryService::BatchStatsJson() const {
   body.Set("items", batch_items_.load(std::memory_order_relaxed));
   body.Set("result_cache_hits",
            batch_result_cache_hits_.load(std::memory_order_relaxed));
-  body.Set("subplans_shared",
-           batch_subplans_shared_.load(std::memory_order_relaxed));
   {
     std::lock_guard<std::mutex> lock(batch_mu_);
     body.Set("size", StatsRegistry::LatencyToJson(batch_sizes_));

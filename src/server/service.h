@@ -98,15 +98,8 @@ struct ServiceOptions {
   /// is rejected whole with a structured 400 (the batch holds exactly one
   /// admission slot, so the cap bounds the work a slot can claim).
   size_t batch_max_items = 256;
-  /// Worker threads a batch may use to evaluate term-disjoint query groups
-  /// concurrently (1 = serial). Parallelism never crosses a group boundary:
-  /// items sharing any term evaluate sequentially in submission order, so
-  /// the fixed-point and result caches evolve exactly as under sequential
-  /// /query requests and every per-item body stays byte-identical. Groups
-  /// touch disjoint cache keys; the only cross-group coupling is LRU
-  /// eviction order when a cache is at capacity (entries kept may differ,
-  /// bodies never do).
-  unsigned batch_parallelism = 1;
+  /// Always 1 (batch items run serially); only for servebench's provenance.
+  static constexpr unsigned batch_parallelism = 1;
 };
 
 struct ParsedRequest;  // service.cc: one decoded /query request
@@ -121,9 +114,10 @@ struct QueryOutcome {
 
 /// \brief Stateless-per-request query handler over an immutable collection.
 ///
-/// Thread-safe: Handle() may run on any number of worker threads at once.
-/// The only shared mutable state is the per-document FixedPointCache set,
-/// which is internally synchronized (first-wins inserts, stable pointers).
+/// Thread-safe: the Handle* methods may run on any number of worker threads
+/// at once. The shared mutable state is the per-document FixedPointCache set
+/// and the ResultCache, both internally synchronized, plus relaxed atomic
+/// counters and the mutex-guarded batch-size histogram behind /metrics.
 class QueryService {
  public:
   explicit QueryService(const collection::Collection& collection,
@@ -133,22 +127,24 @@ class QueryService {
   QueryOutcome HandleQuery(std::string_view body_text) const;
 
   /// \brief Handles one POST /query_batch body: a JSON array of standard
-  /// /query objects (or {"queries": [...]}) evaluated with cross-query
-  /// sharing. The response is always HTTP 200 with
+  /// /query objects (or {"queries": [...]}), each run as a POST /query of
+  /// that object would be, strictly in submission order on the calling
+  /// thread. The response is always HTTP 200 with
   ///   {"results": [{"status": N, "body": {...}}, ...],
-  ///    "batch": {items, groups, evaluated, result_cache_hits,
-  ///              subplans_shared},
+  ///    "batch": {items, evaluated, result_cache_hits},
   ///    "elapsed_ms": ...}
-  /// where results[i].body is byte-identical (modulo elapsed_ms) to what a
-  /// sequential POST /query of item i would have returned — including
-  /// per-item 400s for malformed items and per-item 504s for expired
-  /// deadlines; one bad item never poisons the batch. Envelope-level
-  /// errors (unparseable body, not an array, empty, above batch_max_items)
-  /// are a structured 400 for the whole request.
+  /// where results[i] is what a sequential POST /query of item i would have
+  /// returned (modulo elapsed_ms) — including per-item 400s for malformed
+  /// items and per-item 504s for expired deadlines; one bad item never
+  /// poisons the batch — and the fixed-point and result caches end in the
+  /// state those N sequential calls leave. Envelope-level errors
+  /// (unparseable body, not an array, empty, above batch_max_items) are a
+  /// structured 400 for the whole request.
   QueryOutcome HandleQueryBatch(std::string_view body_text) const;
 
-  /// Batch-execution counters (batch-size histogram, sharing counters),
-  /// merged into GET /metrics output as the "batch" section.
+  /// Batch-execution counters (batches, items, result-cache hits,
+  /// batch-size histogram), merged into GET /metrics output as the "batch"
+  /// section.
   json::Value BatchStatsJson() const;
 
   /// DAG-compression statistics (subtree classes, compression ratio, replay
@@ -184,10 +180,8 @@ class QueryService {
 
  private:
   /// \brief Runs one decoded request end to end (result-cache lookup,
-  /// deadline, per-document evaluation, rendering, cache fill). `memo`,
-  /// when non-null, is the scan memo the item's batch group shares.
-  QueryOutcome RunParsed(ParsedRequest& request, const Timer& timer,
-                         query::ScanMemo* memo) const;
+  /// deadline, per-document evaluation, rendering, cache fill).
+  QueryOutcome RunParsed(ParsedRequest& request, const Timer& timer) const;
 
   const collection::Collection& collection_;
   ServiceOptions options_;
@@ -209,7 +203,6 @@ class QueryService {
   mutable std::atomic<uint64_t> batches_{0};
   mutable std::atomic<uint64_t> batch_items_{0};
   mutable std::atomic<uint64_t> batch_result_cache_hits_{0};
-  mutable std::atomic<uint64_t> batch_subplans_shared_{0};
   /// Batch-size histogram ("size" in the batch metrics section); guarded by
   /// batch_mu_ (LatencyHistogram is synchronization-free by design).
   mutable std::mutex batch_mu_;

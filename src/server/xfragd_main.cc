@@ -21,8 +21,6 @@
 //     --fp-cache-mb N        per-document fixed-point cache budget in MiB
 //                            (default 64, 0 = unlimited)
 //     --batch-max-items N    per-request /query_batch item cap (default 256)
-//     --batch-parallelism N  worker threads across term-disjoint groups of
-//                            one batch (default 1; identity holds at any N)
 //     --debug-sleep          accept the "debug_sleep_ms" request field
 //                            (test/bench hook; do not enable in production)
 //     --version              print build info and exit
@@ -70,8 +68,7 @@ int Usage(const char* argv0) {
       "  --default-deadline-ms MS | --max-deadline-ms MS\n"
       "  --request-timeout-ms MS | --result-cache-mb N\n"
       "  --fp-cache-entries N | --fp-cache-mb N\n"
-      "  --batch-max-items N | --batch-parallelism N\n"
-      "  --debug-sleep | --version\n",
+      "  --batch-max-items N | --debug-sleep | --version\n",
       argv0, argv0);
   return 2;
 }
@@ -163,9 +160,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--batch-max-items" && i + 1 < argc) {
       options.service.batch_max_items =
           static_cast<size_t>(std::atol(argv[++i]));
-    } else if (arg == "--batch-parallelism" && i + 1 < argc) {
-      options.service.batch_parallelism =
-          static_cast<unsigned>(std::atoi(argv[++i]));
     } else if (arg == "--debug-sleep") {
       options.service.enable_debug_sleep = true;
     } else if (arg.rfind("--", 0) == 0) {

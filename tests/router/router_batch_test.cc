@@ -52,7 +52,7 @@ std::string MakeDoc(size_t i) {
   return xml;
 }
 
-// A fixed mixed batch: a shared-term pair (one group), term-disjoint items,
+// A fixed mixed batch: a shared-term pair, term-disjoint items,
 // top-k, ranking, a filter, an exact duplicate, and one invalid item whose
 // per-item 400 must match the combined node's /query 400.
 const char* const kBatchItems[] = {

@@ -1,15 +1,18 @@
-// /query_batch equivalence: every item of a batch must come back
-// byte-identical — INCLUDING metrics — to what a sequential POST /query of
-// the same items against a fresh service would have returned, across
-// strategies, top-k, batch parallelism, the DAG-compression switch, and the
-// result cache. Also covers per-item 400s, per-item deadline 504s,
+// /query_batch equivalence: a batch is N sequential /query runs. Every item
+// must come back byte-identical — INCLUDING metrics — to what a sequential
+// POST /query of the same items against a fresh service would have
+// returned, across strategies, top-k, a bounded fixed-point cache, the
+// DAG-compression switch, and the result cache; and the caches must end in
+// the same state. Also covers per-item 400s, per-item deadline 504s,
 // result-cache hit stamping for duplicate items, envelope-level 400s, the
-// size cap, and the /metrics "batch" section over real loopback sockets.
+// size cap at and above its boundary, and the /metrics "batch" section over
+// real loopback sockets.
 
 #include <gtest/gtest.h>
 
 #include <iterator>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,9 +67,8 @@ json::Value Normalized(const json::Value& body) {
   return v;
 }
 
-// A mixed workload: shared terms (one group), disjoint terms (separate
-// groups), strategies, filters, top-k, ranking, xml rendering, an exact
-// duplicate, and a per-item validation error.
+// A mixed workload: shared and disjoint terms, strategies, filters, top-k,
+// ranking, xml rendering, and an exact duplicate.
 const char* const kMixedItems[] = {
     R"({"terms":["xquery","optimization"]})",
     R"({"terms":["xquery"],"filter":"size<=2","strategy":"pushdown"})",
@@ -76,28 +78,31 @@ const char* const kMixedItems[] = {
     R"({"terms":["algebra"],"strategy":"reduced","max_answers":2})",
 };
 
-std::string MixedBatchBody() {
+// The /query_batch body carrying `items` as a bare JSON array.
+std::string BatchBody(std::span<const char* const> items) {
   std::string body = "[";
-  for (size_t i = 0; i < std::size(kMixedItems); ++i) {
+  for (size_t i = 0; i < items.size(); ++i) {
     if (i > 0) body += ",";
-    body += kMixedItems[i];
+    body += items[i];
   }
   body += "]";
   return body;
 }
 
 // Runs the items sequentially through one fresh service and as one batch
-// through another fresh service, asserting per-item byte identity.
+// through another fresh service, asserting per-item byte identity and the
+// same end state of the fixed-point caches.
 void ExpectBatchMatchesSequential(const collection::Collection& collection,
                                   ServiceOptions options,
+                                  std::span<const char* const> items,
                                   const std::string& context) {
   QueryService sequential(collection, options);
   QueryService batched(collection, options);
   std::vector<json::Value> expected;
-  for (const char* item : kMixedItems) {
+  for (const char* item : items) {
     expected.push_back(sequential.HandleQuery(item).body);
   }
-  QueryOutcome outcome = batched.HandleQueryBatch(MixedBatchBody());
+  QueryOutcome outcome = batched.HandleQueryBatch(BatchBody(items));
   ASSERT_EQ(outcome.http_status, 200) << context << outcome.body.Dump();
   const json::Value* results = outcome.body.Find("results");
   ASSERT_NE(results, nullptr) << context;
@@ -112,24 +117,43 @@ void ExpectBatchMatchesSequential(const collection::Collection& collection,
         << context << " item " << i << "\nbatch: " << body->Dump()
         << "\nsequential: " << expected[i].Dump();
   }
+  EXPECT_EQ(batched.CacheStatsJson().Dump(),
+            sequential.CacheStatsJson().Dump())
+      << context;
 }
 
 TEST(BatchEquivalenceTest, ItemsMatchSequentialAcrossConfigurations) {
   collection::Collection collection = MakeCollection();
-  for (unsigned parallelism : {1u, 3u}) {
+  // 0 = unlimited; 1 keeps a single closure per document, so any
+  // reordering of the items would change which closures hit or evict.
+  for (size_t fp_entries : {size_t{0}, size_t{1}}) {
     for (size_t cache_bytes : {size_t{0}, size_t{1} << 20}) {
       for (bool dag : {false, true}) {
         DagSwitchGuard guard(dag);
         ServiceOptions options;
-        options.batch_parallelism = parallelism;
+        options.fixed_point_cache.max_entries = fp_entries;
         options.result_cache_bytes = cache_bytes;
         ExpectBatchMatchesSequential(
-            collection, options,
-            StrFormat("parallelism=%u cache=%zu dag=%d ", parallelism,
+            collection, options, kMixedItems,
+            StrFormat("fp_entries=%zu cache=%zu dag=%d ", fp_entries,
                       cache_bytes, dag ? 1 : 0));
       }
     }
   }
+}
+
+TEST(BatchEquivalenceTest, BoundedCacheEndsInTheSequentialState) {
+  ServiceOptions options;
+  options.fixed_point_cache.max_entries = 1;
+  options.result_cache_bytes = 0;
+  // Items 0 and 2 share the "xquery" closure; item 1 evicts it in between
+  // when the items run in submission order.
+  const char* const items[] = {
+      R"({"terms":["xquery"],"strategy":"reduced"})",
+      R"({"terms":["optimization"],"strategy":"reduced"})",
+      R"({"terms":["xquery"],"strategy":"reduced","max_answers":1})",
+  };
+  ExpectBatchMatchesSequential(MakeCollection(), options, items, "");
 }
 
 TEST(BatchEquivalenceTest, BadItemGetsItsOwn400WithoutPoisoningTheBatch) {
@@ -197,19 +221,24 @@ TEST(BatchEquivalenceTest, DuplicateItemsHitTheResultCacheInsideOneBatch) {
 
 TEST(BatchEquivalenceTest, BatchSectionReportsGroupsAndSharing) {
   collection::Collection collection = MakeCollection();
-  QueryService service(collection, {});
-  // Items 0 and 1 share "xquery"; item 2 is term-disjoint.
+  ServiceOptions options;
+  options.result_cache_bytes = 1 << 20;
+  QueryService service(collection, options);
+  // Item 2 repeats item 0 (a result-cache hit); item 3 is malformed (a
+  // per-item 400, neither evaluated nor a hit).
   QueryOutcome outcome = service.HandleQueryBatch(
-      R"([{"terms":["xquery","optimization"]},)"
-      R"({"terms":["xquery"]},{"terms":["unrelated"]}])");
+      R"([{"terms":["xquery","optimization"]},{"terms":["unrelated"]},)"
+      R"({"terms":["optimization","xquery"]},{"terms":[]}])");
   ASSERT_EQ(outcome.http_status, 200);
   const json::Value* batch = outcome.body.Find("batch");
   ASSERT_NE(batch, nullptr);
-  EXPECT_EQ(batch->Find("items")->AsInt(), 3);
-  EXPECT_EQ(batch->Find("groups")->AsInt(), 2);
-  EXPECT_EQ(batch->Find("evaluated")->AsInt(), 3);
-  // "xquery" is scanned once per document instead of twice.
-  EXPECT_GT(batch->Find("subplans_shared")->AsInt(), 0);
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : batch->members()) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{"items", "evaluated",
+                                            "result_cache_hits"}));
+  EXPECT_EQ(batch->Find("items")->AsInt(), 4);
+  EXPECT_EQ(batch->Find("evaluated")->AsInt(), 2);
+  EXPECT_EQ(batch->Find("result_cache_hits")->AsInt(), 1);
 }
 
 TEST(BatchEquivalenceTest, EnvelopeErrorsAreWholeRequest400s) {
@@ -229,6 +258,12 @@ TEST(BatchEquivalenceTest, EnvelopeErrorsAreWholeRequest400s) {
       R"([{"terms":["a"]},{"terms":["b"]},{"terms":["c"]}])");
   EXPECT_EQ(capped.http_status, 400);
   EXPECT_EQ(capped.body.Find("results"), nullptr);
+  // Exactly at the cap: accepted, one result per item.
+  QueryOutcome at_cap = service.HandleQueryBatch(
+      R"([{"terms":["xquery"]},{"terms":["optimization"]}])");
+  EXPECT_EQ(at_cap.http_status, 200);
+  ASSERT_NE(at_cap.body.Find("results"), nullptr);
+  EXPECT_EQ(at_cap.body.Find("results")->size(), 2u);
   // The {"queries": [...]} envelope form works.
   QueryOutcome wrapped = service.HandleQueryBatch(
       R"({"queries":[{"terms":["xquery"]}]})");
@@ -244,7 +279,7 @@ TEST(BatchEquivalenceTest, HttpEndpointAndMetricsSection) {
   Server server(collection, options);
   ASSERT_TRUE(server.Start().ok());
 
-  const std::string body = MixedBatchBody();
+  const std::string body = BatchBody(kMixedItems);
   std::string request = StrFormat(
       "POST /query_batch HTTP/1.1\r\nHost: t\r\nContent-Length: %zu\r\n"
       "Connection: close\r\n\r\n",
