@@ -35,6 +35,12 @@
 # byte-identity property suite, and the REPL golden-transcript smoke)
 # runs in tier-1 and again under ASan, where the fuzz corpus must be
 # clean — a parser that walks one byte past a malformed query dies here.
+# The deterministic work-counter gate, query/work_counter_gate_test (exact
+# pairs_considered / pairs_rejected_summary / pairs_examined totals for a
+# fixed size<=3..6 query list, and pairs_examined <= pairs_considered / 10),
+# rides query_test, and the root-window soundness suite,
+# algebra/root_window_test, rides algebra_test: both run in tier-1 and again
+# under ASan and UBSan.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."

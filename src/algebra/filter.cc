@@ -17,6 +17,19 @@ namespace filters {
 
 namespace {
 
+// ceil(x / 2) for x > 0, else 0: the smallest join-root depth l with
+// 2l >= x, the shape every root-window rule below reduces to.
+uint32_t CeilHalfOrZero(int64_t x) {
+  return x <= 0 ? 0 : static_cast<uint32_t>((x + 1) / 2);
+}
+
+// Height rule shared by height<=h and distance<=d: the join is at least
+// max_depth(f1) - depth(lca) high, which exceeds `limit` for every LCA
+// shallower than max_depth(f1) - limit.
+uint32_t HeightWindowDepth(const FragmentSummary& s1, uint32_t limit) {
+  return s1.max_depth > limit ? s1.max_depth - limit : 0;
+}
+
 class TrueFilter final : public Filter {
  public:
   bool Matches(const Fragment&, const FilterContext&) const override {
@@ -37,6 +50,16 @@ class SizeAtMostFilter final : public Filter {
                          const FilterContext&) const override {
     return bounds.size_lower > beta_;
   }
+  uint32_t MinJoinRootDepth(const FragmentSummary& s1,
+                            uint32_t partner_root_depth) const override {
+    // Below root(f1) the join holds f1 plus both connecting paths:
+    // size_lower >= |f1| + (d1 - l) + (d2 - l) > beta iff l < that ceil.
+    // When root(f1) is the LCA (l = d1) the bound drops its second path, so
+    // the window never reaches deeper than d1 itself.
+    const int64_t excess = int64_t{s1.size} + s1.root_depth +
+                           partner_root_depth - int64_t{beta_};
+    return std::min(s1.root_depth, CeilHalfOrZero(excess));
+  }
   std::string ToString() const override {
     return StrFormat("size<=%u", beta_);
   }
@@ -55,6 +78,10 @@ class HeightAtMostFilter final : public Filter {
   bool RejectsJoinBounds(const JoinBounds& bounds,
                          const FilterContext&) const override {
     return bounds.height > h_;
+  }
+  uint32_t MinJoinRootDepth(const FragmentSummary& s1,
+                            uint32_t) const override {
+    return HeightWindowDepth(s1, h_);
   }
   std::string ToString() const override {
     return StrFormat("height<=%u", h_);
@@ -134,6 +161,13 @@ class DistanceAtMostFilter final : public Filter {
     // either already exceeding d proves the diameter does.
     return bounds.height > d_ || bounds.roots_distance > d_;
   }
+  uint32_t MinJoinRootDepth(const FragmentSummary& s1,
+                            uint32_t partner_root_depth) const override {
+    // roots_distance = d1 + d2 - 2l > d iff l < ceil((d1 + d2 - d) / 2).
+    const int64_t excess = int64_t{s1.root_depth} + partner_root_depth -
+                           int64_t{d_};
+    return std::max(HeightWindowDepth(s1, d_), CeilHalfOrZero(excess));
+  }
   std::string ToString() const override {
     return StrFormat("distance<=%u", d_);
   }
@@ -181,6 +215,9 @@ class RootDepthAtLeastFilter final : public Filter {
   bool RejectsJoinBounds(const JoinBounds& bounds,
                          const FilterContext&) const override {
     return bounds.root_depth < d_;
+  }
+  uint32_t MinJoinRootDepth(const FragmentSummary&, uint32_t) const override {
+    return d_;
   }
   std::string ToString() const override {
     return StrFormat("root_depth>=%u", d_);
@@ -294,6 +331,11 @@ class AndFilter final : public Filter {
     return a_->RejectsJoinBounds(bounds, ctx) ||
            b_->RejectsJoinBounds(bounds, ctx);
   }
+  uint32_t MinJoinRootDepth(const FragmentSummary& s1,
+                            uint32_t partner_root_depth) const override {
+    return std::max(a_->MinJoinRootDepth(s1, partner_root_depth),
+                    b_->MinJoinRootDepth(s1, partner_root_depth));
+  }
   bool TranslationInvariant() const override {
     return a_->TranslationInvariant() && b_->TranslationInvariant();
   }
@@ -327,6 +369,11 @@ class OrFilter final : public Filter {
     // Sound only when BOTH branches prove rejection.
     return a_->RejectsJoinBounds(bounds, ctx) &&
            b_->RejectsJoinBounds(bounds, ctx);
+  }
+  uint32_t MinJoinRootDepth(const FragmentSummary& s1,
+                            uint32_t partner_root_depth) const override {
+    return std::min(a_->MinJoinRootDepth(s1, partner_root_depth),
+                    b_->MinJoinRootDepth(s1, partner_root_depth));
   }
   bool TranslationInvariant() const override {
     return a_->TranslationInvariant() && b_->TranslationInvariant();

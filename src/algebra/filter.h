@@ -93,6 +93,25 @@ class Filter {
     return false;
   }
 
+  /// \brief The shallowest join-root depth this filter can still accept for
+  /// f1 joined with a partner rooted at depth `partner_root_depth`.
+  ///
+  /// Returns a depth L such that every pair (f1, f2) whose f2 root sits at
+  /// `partner_root_depth` and whose depth(lca(root(f1), root(f2))) < L is
+  /// rejected by RejectsJoinBounds(ComputeJoinBounds(...)). The join kernels
+  /// turn L into a pre-order window — the subtree of root(f1)'s ancestor at
+  /// depth L, empty when L exceeds s1.root_depth — and count every partner
+  /// root outside it as summary-rejected without computing its bounds
+  /// (docs/ALGEBRA.md, "Root windows"). Sound, never complete, like
+  /// RejectsJoinBounds: the default 0 means "no window". Conjunction takes
+  /// the maximum of its operands, disjunction the minimum.
+  virtual uint32_t MinJoinRootDepth(const FragmentSummary& s1,
+                                    uint32_t partner_root_depth) const {
+    (void)s1;
+    (void)partner_root_depth;
+    return 0;
+  }
+
   /// \brief True when the predicate commutes with subtree translation: for
   /// fragments f, f' at the same offsets inside isomorphic, equally-deep
   /// copies of one subtree (same tags, texts, and shape — a subtree

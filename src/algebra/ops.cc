@@ -93,18 +93,108 @@ Fragment JoinWithArena(const Document& document, const Fragment& f1,
   return Fragment::FromSortedUnchecked(std::move(out), max_depth);
 }
 
-// A pair rejected from its summary bounds counts exactly like a join whose
-// result failed the filter — the logical counters stay invariant under the
+// `pairs` rejected from their summary bounds count exactly like joins whose
+// results failed the filter — the logical counters stay invariant under the
 // prefilter — plus the prefilter counter recording the avoided work.
-void CountPrefilterRejectedJoin(OpMetrics* metrics) {
+void CountPrefilterRejectedJoins(OpMetrics* metrics, uint64_t pairs = 1) {
   if (metrics != nullptr) {
-    ++metrics->fragment_joins;
-    ++metrics->fragments_produced;
-    ++metrics->filter_evals;
-    ++metrics->filter_rejections;
-    ++metrics->pairs_rejected_summary;
+    metrics->fragment_joins += pairs;
+    metrics->fragments_produced += pairs;
+    metrics->filter_evals += pairs;
+    metrics->filter_rejections += pairs;
+    metrics->pairs_rejected_summary += pairs;
   }
 }
+
+// Root windows (docs/ALGEBRA.md, "Root windows"): for the current row f1 and
+// each root depth d2 present in set2, the pre-order interval of root(f1)'s
+// ancestor at depth L = filter.MinJoinRootDepth(s1, d2). A partner rooted at
+// depth d2 outside that interval has an LCA with root(f1) shallower than L,
+// so RejectsJoinBounds would reject the pair; the kernels count it as
+// summary-rejected after one unsigned compare, with no LCA and no bounds.
+// Scratch is sized once per kernel call; SetRow allocates nothing.
+class RootWindows {
+ public:
+  RootWindows(const Document& document,
+              const std::vector<FragmentSummary>& sums1,
+              const std::vector<FragmentSummary>& sums2)
+      : document_(document) {
+    uint32_t max_depth2 = 0;
+    for (const FragmentSummary& s : sums2) {
+      max_depth2 = std::max(max_depth2, s.root_depth);
+    }
+    constexpr uint32_t kNoSlot = ~uint32_t{0};
+    std::vector<uint32_t> slot_of_depth(max_depth2 + 1, kNoSlot);
+    partners_.reserve(sums2.size());
+    for (const FragmentSummary& s : sums2) {
+      uint32_t& slot = slot_of_depth[s.root_depth];
+      if (slot == kNoSlot) {
+        slot = static_cast<uint32_t>(depths_.size());
+        depths_.push_back(s.root_depth);
+      }
+      partners_.push_back(Partner{s.root, slot});
+    }
+    limits_.resize(depths_.size());
+    windows_.resize(depths_.size());
+    uint32_t max_depth1 = 0;
+    for (const FragmentSummary& s : sums1) {
+      max_depth1 = std::max(max_depth1, s.root_depth);
+    }
+    ancestors_.resize(max_depth1 + 1);
+  }
+
+  // Recomputes every window for the row whose f1 has summary `s1`.
+  void SetRow(const Filter& filter, const FragmentSummary& s1) {
+    const uint32_t d1 = s1.root_depth;
+    // One climb from root(f1) up to the shallowest depth any window needs.
+    uint32_t shallowest = d1;
+    for (size_t k = 0; k < depths_.size(); ++k) {
+      limits_[k] = filter.MinJoinRootDepth(s1, depths_[k]);
+      if (limits_[k] > 0) shallowest = std::min(shallowest, limits_[k]);
+    }
+    NodeId node = s1.root;
+    for (uint32_t d = d1;; --d) {
+      ancestors_[d] = node;
+      if (d <= shallowest) break;
+      node = document_.parent(node);
+    }
+    for (size_t k = 0; k < depths_.size(); ++k) {
+      const uint32_t limit = limits_[k];
+      if (limit == 0) {
+        windows_[k] = Window{0, static_cast<uint32_t>(document_.size())};
+      } else if (limit > d1) {
+        windows_[k] = Window{0, 0};  // Every LCA is shallower: all rejected.
+      } else {
+        const NodeId a = ancestors_[limit];
+        windows_[k] = Window{a, document_.subtree_size(a)};
+      }
+    }
+  }
+
+  // True when partner j's root lies outside its window for the current row.
+  bool Outside(size_t j) const {
+    const Partner& p = partners_[j];
+    const Window& w = windows_[p.slot];
+    return p.root - w.lo >= w.width;  // Unsigned: below lo wraps high.
+  }
+
+ private:
+  struct Partner {
+    NodeId root;
+    uint32_t slot;  // Index of the partner's root depth in depths_.
+  };
+  struct Window {
+    NodeId lo;
+    uint32_t width;  // Subtree size of the window's ancestor; 0 = empty.
+  };
+
+  const Document& document_;
+  std::vector<Partner> partners_;  // Parallel to set2.
+  std::vector<uint32_t> depths_;   // Distinct root depths present in set2.
+  std::vector<uint32_t> limits_;   // MinJoinRootDepth per depth slot.
+  std::vector<Window> windows_;    // Per depth slot, for the current row.
+  std::vector<NodeId> ancestors_;  // root(f1)'s ancestors, by depth.
+};
 
 bool PassesFilter(const Fragment& f, const FilterPtr& filter,
                   const FilterContext& context, OpMetrics* metrics) {
@@ -160,7 +250,7 @@ void ReplayFilteredOutcome(const DagPairOutcome& outcome, NodeId anchor,
   if (metrics != nullptr) ++metrics->class_pairs_considered;
   switch (outcome.kind) {
     case DagPairOutcome::kPrefilterRejected:
-      CountPrefilterRejectedJoin(metrics);
+      CountPrefilterRejectedJoins(metrics);
       return;
     case DagPairOutcome::kFilterRejected:
       CountJoin(metrics);
@@ -194,9 +284,23 @@ FragmentSet PairwiseJoinFilteredImpl(const Document& document,
   const std::vector<FragmentSummary> sums1 = SummarizeSet(set1, document);
   const std::vector<FragmentSummary> sums2 = SummarizeSet(set2, document);
   if (dag != nullptr) dag->InternSets(set1, set2);
+  std::optional<RootWindows> windows;
+  if (prefilter) windows.emplace(document, sums1, sums2);
   for (size_t i = 0; i < set1.size(); ++i) {
+    if (prefilter) windows->SetRow(*filter, sums1[i]);
+    uint64_t skipped = 0;
+    uint64_t examined = 0;
     for (size_t j = 0; j < set2.size(); ++j) {
       if (metrics != nullptr) ++metrics->pairs_considered;
+      if (prefilter) {
+        if (windows->Outside(j)) {
+          ++skipped;
+          continue;
+        }
+        // Computed below, or by the class representative a replay stands
+        // for — either way the count is the same with DAG compression off.
+        ++examined;
+      }
       uint64_t key = 0;
       bool cacheable = dag != nullptr && dag->PairCacheable(i, j, &key);
       if (cacheable) {
@@ -211,7 +315,7 @@ FragmentSet PairwiseJoinFilteredImpl(const Document& document,
       if (prefilter &&
           filter->RejectsJoinBounds(
               ComputeJoinBounds(document, sums1[i], sums2[j]), context)) {
-        CountPrefilterRejectedJoin(metrics);
+        CountPrefilterRejectedJoins(metrics);
         if (cacheable) {
           dag->outcomes[key].kind = DagPairOutcome::kPrefilterRejected;
         }
@@ -234,6 +338,8 @@ FragmentSet PairwiseJoinFilteredImpl(const Document& document,
         dag->outcomes[key].kind = DagPairOutcome::kFilterRejected;
       }
     }
+    CountPrefilterRejectedJoins(metrics, skipped);
+    if (metrics != nullptr) metrics->pairs_examined += examined;
   }
   return out;
 }
@@ -467,6 +573,8 @@ void PairwiseJoinTopK(const Document& document, const FragmentSet& set1,
     WarmupTopKFloor(document, set1, set2, sums1, sums2, ev1, ev2, filter,
                     context, scorer, accept, collector);
   }
+  std::optional<RootWindows> windows;
+  if (prefilter) windows.emplace(document, sums1, sums2);
   size_t since_poll = 0;
   for (size_t i = 0; i < set1.size(); ++i) {
     // One arithmetic test retires the whole row when nothing f1 can reach
@@ -485,10 +593,22 @@ void PairwiseJoinTopK(const Document& document, const FragmentSet& set1,
       }
       continue;
     }
+    if (prefilter) windows->SetRow(*filter, sums1[i]);
+    // Window-rejected and examined pairs of this row, added to `metrics` at
+    // the row's end (or on cancel) exactly as per-pair counting would.
+    uint64_t skipped = 0;
+    uint64_t examined = 0;
+    auto flush_row = [&] {
+      CountPrefilterRejectedJoins(metrics, skipped);
+      if (metrics != nullptr) metrics->pairs_examined += examined;
+    };
     for (size_t j = 0; j < set2.size(); ++j) {
       if (++since_poll >= 1024) {
         since_poll = 0;
-        if (ShouldStop(cancel)) return;
+        if (ShouldStop(cancel)) {
+          flush_row();
+          return;
+        }
       }
       if (metrics != nullptr) ++metrics->pairs_considered;
       // Pair-level evidence pre-check from the operand sizes alone — the
@@ -500,10 +620,15 @@ void PairwiseJoinTopK(const Document& document, const FragmentSet& set1,
         if (metrics != nullptr) ++metrics->pairs_rejected_score;
         continue;
       }
+      if (prefilter && windows->Outside(j)) {
+        ++skipped;
+        continue;
+      }
       // Bounds serve both prefilters, so they are computed unconditionally
       // (unlike PairwiseJoinFiltered, which only needs them when the summary
       // prefilter is on).
       JoinBounds bounds = ComputeJoinBounds(document, sums1[i], sums2[j]);
+      ++examined;
       uint64_t key = 0;
       const bool cacheable =
           dag_state.has_value() && dag_state->PairCacheable(i, j, &key);
@@ -514,7 +639,7 @@ void PairwiseJoinTopK(const Document& document, const FragmentSet& set1,
       }
       if (hit != nullptr && hit->kind == DagPairOutcome::kPrefilterRejected) {
         if (metrics != nullptr) ++metrics->class_pairs_considered;
-        CountPrefilterRejectedJoin(metrics);
+        CountPrefilterRejectedJoins(metrics);
         continue;
       }
       // A non-prefilter hit proves the representative cleared the summary
@@ -522,7 +647,7 @@ void PairwiseJoinTopK(const Document& document, const FragmentSet& set1,
       // re-check is skipped — it could only agree.
       if (hit == nullptr && prefilter &&
           filter->RejectsJoinBounds(bounds, context)) {
-        CountPrefilterRejectedJoin(metrics);
+        CountPrefilterRejectedJoins(metrics);
         if (cacheable) {
           dag_state->outcomes[key].kind = DagPairOutcome::kPrefilterRejected;
         }
@@ -596,6 +721,7 @@ void PairwiseJoinTopK(const Document& document, const FragmentSet& set1,
       double score = scorer.Score(joined);
       collector->Offer(std::move(joined), score);
     }
+    flush_row();
   }
 }
 

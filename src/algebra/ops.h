@@ -67,6 +67,13 @@ struct OpMetrics {
   /// (seeded, live or warmed up), hence excluded from operator==; the
   /// *results* stay the same regardless.
   uint64_t pairs_rejected_score = 0;
+  /// Pairs whose join bounds the kernels computed (ComputeJoinBounds' LCA),
+  /// or replayed from a class representative that did: every pair the
+  /// summary prefilter looked at beyond its root window (docs/ALGEBRA.md,
+  /// "Root windows"). Physical, excluded from operator==: zero in the
+  /// filtered kernel with the prefilter off, and its top-k share depends on
+  /// the collector's floor like pairs_rejected_score.
+  uint64_t pairs_examined = 0;
 
   // DAG-compressed evaluation counters (docs/ALGEBRA.md, "DAG-compressed
   // evaluation"). Physical like the two above — they measure work *shared*
@@ -99,6 +106,7 @@ struct OpMetrics {
     pairs_rejected_summary += other.pairs_rejected_summary;
     subsume_checks_skipped += other.subsume_checks_skipped;
     pairs_rejected_score += other.pairs_rejected_score;
+    pairs_examined += other.pairs_examined;
     classes_total += other.classes_total;
     class_pairs_considered += other.class_pairs_considered;
     answers_multiplied_out += other.answers_multiplied_out;
@@ -106,9 +114,9 @@ struct OpMetrics {
 
   /// Compares every logical counter plus the summary-prefilter rejections.
   /// The other physical counters are deliberately excluded: how many checks
-  /// the ⊖ index skips, how many pairs the top-k bound prunes and how much
-  /// work DAG compression shares depend on switches and floors that never
-  /// affect any result.
+  /// the ⊖ index skips, how many pairs the top-k bound prunes or the kernels
+  /// examine, and how much work DAG compression shares depend on switches
+  /// and floors that never affect any result.
   bool operator==(const OpMetrics& other) const {
     return fragment_joins == other.fragment_joins &&
            filter_evals == other.filter_evals &&
@@ -166,6 +174,11 @@ FragmentSet PairwiseJoin(const Document& document, const FragmentSet& set1,
 /// produced fragment — the push-down building block (Theorem 3). Fragments
 /// failing `filter` are dropped immediately.
 ///
+/// With the summary prefilter on, each row first turns
+/// Filter::MinJoinRootDepth into pre-order windows: a partner whose root
+/// lies outside its window is counted as summary-rejected after one
+/// compare; the rest pay ComputeJoinBounds (counted as pairs_examined).
+///
 /// `dag` (optional, here and on Select / FixedPointFiltered /
 /// PairwiseJoinTopK) enables the class-aware path: candidate pairs living in
 /// duplicated subtrees are evaluated once per local-form pair and replayed —
@@ -199,7 +212,8 @@ using FragmentPredicate = std::function<bool(const Fragment&)>;
 ///
 /// Enumerates the |set1|·|set2| candidate pairs in the serial double-loop
 /// order; each pair is (a) rejected in O(1) when the pushed `filter`'s
-/// summary prefilter proves the join cannot match, (b) rejected in O(1) when
+/// summary prefilter proves the join cannot match — by one compare against
+/// the row's root window where Filter::MinJoinRootDepth gives one — (b) rejected in O(1) when
 /// scorer.UpperBound(bounds) is *strictly* below the current k-th best score
 /// in `collector` (counted as pairs_rejected_score), or (c) materialized,
 /// filtered, run through `accept`, scored exactly, and offered to the

@@ -162,13 +162,16 @@ StatusOr<EvalResult> QueryEngine::RunPlan(
   result.explain = StrFormat("strategy: %s\n",
                              std::string(StrategyName(strategy_used)).c_str());
   // Surface what the summary prefilters saved: how many candidate pairs the
-  // filtered join kernels looked at, and how many they rejected in O(1)
-  // without materializing the join.
+  // filtered join kernels looked at, how many they rejected in O(1) without
+  // materializing the join, and how many of them needed their join bounds
+  // at all (the rest fell outside their root windows).
   if (result.metrics.pairs_considered > 0) {
     result.explain += StrFormat(
-        "prefilter: %llu/%llu pairs rejected from summaries\n",
+        "prefilter: %llu/%llu pairs rejected from summaries, %llu "
+        "examined\n",
         static_cast<unsigned long long>(result.metrics.pairs_rejected_summary),
-        static_cast<unsigned long long>(result.metrics.pairs_considered));
+        static_cast<unsigned long long>(result.metrics.pairs_considered),
+        static_cast<unsigned long long>(result.metrics.pairs_examined));
   }
   // Surface DAG compression: how much pair work was replayed from subtree
   // equivalence-class representatives instead of re-evaluated. Only emitted

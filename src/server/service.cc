@@ -104,6 +104,29 @@ struct ParsedRequest {
 
 namespace {
 
+// A 15-digit deadline times 1e6 exceeds the int64 range, where the cast
+// would be undefined — deadlines clamp to a representable ns ceiling
+// (~285 years).
+constexpr double kMaxDeadlineNanos = 9.0e18;
+
+// The deadline policy: the request's value, else the server default, both
+// clamped to the configured ceiling. 0 means no deadline.
+double ResolvedDeadlineMs(const ParsedRequest& request,
+                          const ServiceOptions& options) {
+  double deadline_ms = request.deadline_ms > 0 ? request.deadline_ms
+                                               : options.default_deadline_ms;
+  if (options.max_deadline_ms > 0 &&
+      (deadline_ms <= 0 || deadline_ms > options.max_deadline_ms)) {
+    deadline_ms = options.max_deadline_ms;
+  }
+  return deadline_ms;
+}
+
+std::chrono::nanoseconds DeadlineNanos(double deadline_ms) {
+  return std::chrono::nanoseconds(
+      static_cast<int64_t>(std::min(deadline_ms * 1e6, kMaxDeadlineNanos)));
+}
+
 // True for request fields an XQL "q" query text already specifies — they
 // conflict with "q" (debug_sleep_ms remains valid alongside it).
 bool IsQueryShapingField(std::string_view key) {
@@ -426,8 +449,10 @@ QueryOutcome QueryService::HandleQuery(std::string_view body_text) const {
   return RunParsed(request, timer);
 }
 
-QueryOutcome QueryService::RunParsed(ParsedRequest& request,
-                                     const Timer& timer) const {
+QueryOutcome QueryService::RunParsed(
+    ParsedRequest& request, const Timer& timer,
+    std::optional<std::chrono::steady_clock::time_point> batch_deadline)
+    const {
   // Serve from the result cache when possible: a hit costs one key build and
   // one map lookup, and the engine never runs — the outcome carries zero
   // metrics, which is how the loopback tests prove the hit was served
@@ -448,28 +473,31 @@ QueryOutcome QueryService::RunParsed(ParsedRequest& request,
     }
   }
 
-  // Resolve the deadline policy: request value, else the server default,
-  // both clamped to the configured ceiling.
-  double deadline_ms = request.deadline_ms > 0 ? request.deadline_ms
-                                               : options_.default_deadline_ms;
-  if (options_.max_deadline_ms > 0 &&
-      (deadline_ms <= 0 || deadline_ms > options_.max_deadline_ms)) {
-    deadline_ms = options_.max_deadline_ms;
+  // The request's own deadline, capped by what is left of its batch's.
+  std::optional<std::chrono::nanoseconds> budget;
+  if (const double deadline_ms = ResolvedDeadlineMs(request, options_);
+      deadline_ms > 0) {
+    budget = DeadlineNanos(deadline_ms);
+  }
+  if (batch_deadline.has_value()) {
+    const auto remaining = std::chrono::duration_cast<std::chrono::nanoseconds>(
+        *batch_deadline - std::chrono::steady_clock::now());
+    budget = budget.has_value() ? std::min(*budget, remaining) : remaining;
   }
   CancelToken cancel;
-  // A 15-digit DEADLINE times 1e6 exceeds the int64 range, where the cast
-  // would be undefined — clamp to a representable ns ceiling (~285 years).
-  constexpr double kMaxNanos = 9.0e18;
-  if (deadline_ms > 0) {
-    cancel.SetDeadlineAfter(std::chrono::nanoseconds(
-        static_cast<int64_t>(std::min(deadline_ms * 1e6, kMaxNanos))));
+  if (budget.has_value()) {
+    cancel.SetDeadlineAfter(*budget);
     request.eval.executor.cancel = &cancel;
   }
 
+  // The stall never outlasts the deadline: past it the worker is only
+  // holding a request nobody waits for.
   if (request.debug_sleep_ms > 0) {
-    std::this_thread::sleep_for(std::chrono::nanoseconds(
-        static_cast<int64_t>(std::min(request.debug_sleep_ms * 1e6,
-                                      kMaxNanos))));
+    std::chrono::nanoseconds sleep = DeadlineNanos(request.debug_sleep_ms);
+    if (budget.has_value()) {
+      sleep = std::min(sleep, std::max(*budget, std::chrono::nanoseconds(0)));
+    }
+    std::this_thread::sleep_for(sleep);
   }
 
   QueryOutcome outcome;
@@ -671,6 +699,7 @@ QueryOutcome QueryService::RunParsed(ParsedRequest& request,
 
 QueryOutcome QueryService::HandleQueryBatch(std::string_view body_text) const {
   Timer timer;
+  const auto batch_start = std::chrono::steady_clock::now();
   size_t error_offset = 0;
   auto root = json::Parse(body_text, &error_offset);
   if (!root.ok()) {
@@ -713,22 +742,53 @@ QueryOutcome QueryService::HandleQueryBatch(std::string_view body_text) const {
                   queries->size(), options_.batch_max_items)));
   }
 
+  // One deadline bounds the whole batch, armed at its start by the router's
+  // gather rule: the most patient item's resolved deadline (each already
+  // clamped by max_deadline_ms). Items are decoded up front to find it; an
+  // item without any deadline leaves the batch unbounded.
+  const size_t item_count = queries->size();
+  std::vector<ParsedRequest> requests(item_count);
+  std::vector<std::optional<QueryOutcome>> item_outcomes(item_count);
+  double batch_deadline_ms = 0.0;
+  bool unbounded = false;
+  for (size_t i = 0; i < item_count; ++i) {
+    item_outcomes[i] = DecodeQuery((*queries)[i], options_.enable_debug_sleep,
+                                   &requests[i]);
+    if (item_outcomes[i].has_value()) continue;  // A per-item 400.
+    const double deadline_ms = ResolvedDeadlineMs(requests[i], options_);
+    if (deadline_ms <= 0) unbounded = true;
+    batch_deadline_ms = std::max(batch_deadline_ms, deadline_ms);
+  }
+  std::optional<std::chrono::steady_clock::time_point> batch_deadline;
+  if (!unbounded && batch_deadline_ms > 0) {
+    batch_deadline = batch_start + DeadlineNanos(batch_deadline_ms);
+  }
+
   // Each item runs exactly as a POST /query of its body would, in
   // submission order on this thread, so responses and cache state match N
-  // sequential /query calls. A malformed item is its own structured 400 and
-  // never poisons the rest of the batch.
+  // sequential /query calls — except that no item runs past the batch
+  // deadline, and one that would start after it is a 504 without being
+  // evaluated. A malformed item is its own structured 400 and never poisons
+  // the rest of the batch.
   QueryOutcome outcome;
   outcome.http_status = 200;
   uint64_t evaluated = 0;
   uint64_t cache_hits = 0;
   json::Value results = json::Value::Array();
-  for (const json::Value& item : queries->items()) {
+  for (size_t i = 0; i < item_count; ++i) {
     Timer item_timer;
-    ParsedRequest request;
-    std::optional<QueryOutcome> item_outcome =
-        DecodeQuery(item, options_.enable_debug_sleep, &request);
+    std::optional<QueryOutcome>& item_outcome = item_outcomes[i];
+    if (!item_outcome.has_value() && batch_deadline.has_value() &&
+        std::chrono::steady_clock::now() >= *batch_deadline) {
+      item_outcome = ErrorOutcome(Status::DeadlineExceeded(
+          "the batch deadline passed before this item started"));
+      item_outcome->body.Set("documents_evaluated", uint64_t{0});
+      item_outcome->body.Set("metrics",
+                             StatsRegistry::OpMetricsToJson(OpMetrics()));
+      item_outcome->body.Set("partial", true);
+    }
     if (!item_outcome.has_value()) {
-      item_outcome = RunParsed(request, item_timer);
+      item_outcome = RunParsed(requests[i], item_timer, batch_deadline);
       if (item_outcome->http_status == 200 &&
           item_outcome->body.Find("result_cache") != nullptr) {
         ++cache_hits;

@@ -44,9 +44,11 @@
 #define XFRAG_SERVER_SERVICE_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_set>
@@ -72,7 +74,7 @@ struct ServiceOptions {
   /// operator-configured ceiling.
   double max_deadline_ms = 0.0;
   /// Accept the "debug_sleep_ms" request field, which stalls the worker
-  /// before evaluation. Exists for deterministic overload/drain/deadline
+  /// before evaluation (never past the request's deadline). Exists for deterministic overload/drain/deadline
   /// tests and load benches; never enable it on a real deployment.
   bool enable_debug_sleep = false;
   /// Byte budget of the serving-side result cache (0 disables it). Whole
@@ -137,7 +139,12 @@ class QueryService {
   /// returned (modulo elapsed_ms) — including per-item 400s for malformed
   /// items and per-item 504s for expired deadlines; one bad item never
   /// poisons the batch — and the fixed-point and result caches end in the
-  /// state those N sequential calls leave. Envelope-level errors
+  /// state those N sequential calls leave. The whole batch has one
+  /// deadline, armed when it starts: the largest resolved item deadline
+  /// (none if some item has none). No item runs past it, and an item that
+  /// would start after it is a 504 ("partial": true, zero metrics) without
+  /// being evaluated, so max_deadline_ms bounds the batch, not each item.
+  /// Envelope-level errors
   /// (unparseable body, not an array, empty, above batch_max_items) are a
   /// structured 400 for the whole request.
   QueryOutcome HandleQueryBatch(std::string_view body_text) const;
@@ -181,7 +188,12 @@ class QueryService {
  private:
   /// \brief Runs one decoded request end to end (result-cache lookup,
   /// deadline, per-document evaluation, rendering, cache fill).
-  QueryOutcome RunParsed(ParsedRequest& request, const Timer& timer) const;
+  /// `batch_deadline`, when set, caps the request's own deadline: a
+  /// /query_batch item never runs past the end of its batch.
+  QueryOutcome RunParsed(
+      ParsedRequest& request, const Timer& timer,
+      std::optional<std::chrono::steady_clock::time_point> batch_deadline =
+          std::nullopt) const;
 
   const collection::Collection& collection_;
   ServiceOptions options_;

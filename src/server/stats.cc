@@ -50,6 +50,7 @@ json::Value StatsRegistry::OpMetricsToJson(const algebra::OpMetrics& metrics) {
   out.Set("pairs_considered", metrics.pairs_considered);
   out.Set("pairs_rejected_summary", metrics.pairs_rejected_summary);
   out.Set("pairs_rejected_score", metrics.pairs_rejected_score);
+  out.Set("pairs_examined", metrics.pairs_examined);
   out.Set("subsume_checks_skipped", metrics.subsume_checks_skipped);
   out.Set("classes_total", metrics.classes_total);
   out.Set("class_pairs_considered", metrics.class_pairs_considered);

@@ -3,13 +3,14 @@
 // POST /query of the same items against a fresh service would have
 // returned, across strategies, top-k, a bounded fixed-point cache, the
 // DAG-compression switch, and the result cache; and the caches must end in
-// the same state. Also covers per-item 400s, per-item deadline 504s,
-// result-cache hit stamping for duplicate items, envelope-level 400s, the
-// size cap at and above its boundary, and the /metrics "batch" section over
-// real loopback sockets.
+// the same state. Also covers per-item 400s, per-item deadline 504s, one
+// deadline for the whole batch, result-cache hit stamping for duplicate
+// items, envelope-level 400s, the size cap at and above its boundary, and
+// the /metrics "batch" section over real loopback sockets.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <iterator>
 #include <memory>
 #include <span>
@@ -195,6 +196,47 @@ TEST(BatchEquivalenceTest, ExpiredItemDeadlineIsAPerItem504) {
   EXPECT_EQ((*results)[1].Find("status")->AsInt(), 504);
   const json::Value* error = (*results)[1].Find("body")->Find("error");
   ASSERT_NE(error, nullptr);
+}
+
+// max_deadline_ms bounds the whole batch, not each item: three items that
+// each ask to stall 300 ms share one 100 ms deadline armed when the batch
+// starts. The first item's stall is cut at the deadline, and the two after
+// it are 504s without being evaluated, so the batch ends well before a
+// single item's full stall.
+TEST(BatchEquivalenceTest, OneDeadlineBoundsTheWholeBatch) {
+  collection::Collection collection = MakeCollection();
+  ServiceOptions options;
+  options.enable_debug_sleep = true;
+  options.max_deadline_ms = 100;
+  QueryService service(collection, options);
+  const auto start = std::chrono::steady_clock::now();
+  QueryOutcome outcome = service.HandleQueryBatch(
+      R"([{"terms":["xquery"],"debug_sleep_ms":300},)"
+      R"({"terms":["optimization"],"debug_sleep_ms":300},)"
+      R"({"terms":["algebra"],"debug_sleep_ms":300}])");
+  const auto elapsed_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  ASSERT_EQ(outcome.http_status, 200);
+  const json::Value* results = outcome.body.Find("results");
+  ASSERT_NE(results, nullptr);
+  ASSERT_EQ(results->size(), 3u);
+  for (const json::Value& item : results->items()) {
+    EXPECT_EQ(item.Find("status")->AsInt(), 504) << outcome.body.Dump();
+    const json::Value* body = item.Find("body");
+    EXPECT_EQ(body->Find("code")->AsString(), "DeadlineExceeded");
+    EXPECT_TRUE(body->Find("partial")->AsBool());
+  }
+  // The items after the first never reached the engine.
+  for (size_t i = 1; i < 3; ++i) {
+    const json::Value* metrics = (*results)[i].Find("body")->Find("metrics");
+    ASSERT_NE(metrics, nullptr);
+    EXPECT_EQ(metrics->Find("pairs_considered")->AsInt(), 0);
+    EXPECT_EQ(metrics->Find("fragment_joins")->AsInt(), 0);
+  }
+  EXPECT_EQ(outcome.body.Find("batch")->Find("evaluated")->AsInt(), 1);
+  EXPECT_LT(elapsed_ms, 250) << "the batch outlived its 100 ms deadline";
 }
 
 TEST(BatchEquivalenceTest, DuplicateItemsHitTheResultCacheInsideOneBatch) {

@@ -1,10 +1,15 @@
 // server/stats: histogram bucketing and percentile bounds, registry
 // aggregation (status counts, metrics merging incl. partial-504 metrics),
-// and the /metrics JSON shape.
+// the /metrics JSON shape, and the work counters each response carries.
 
 #include "server/stats.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
+
+#include "collection/collection.h"
+#include "server/service.h"
 
 namespace xfrag::server {
 namespace {
@@ -100,14 +105,57 @@ TEST(StatsRegistry, OpMetricsJsonCoversEveryCounter) {
   m.classes_total = 10;
   m.class_pairs_considered = 11;
   m.answers_multiplied_out = 12;
+  m.pairs_examined = 13;
   json::Value rendered = StatsRegistry::OpMetricsToJson(m);
-  EXPECT_EQ(rendered.size(), 12u);
+  EXPECT_EQ(rendered.size(), 13u);
   EXPECT_EQ(rendered.Find("fragment_joins")->AsInt(), 1);
   EXPECT_EQ(rendered.Find("subsume_checks_skipped")->AsInt(), 8);
   EXPECT_EQ(rendered.Find("pairs_rejected_score")->AsInt(), 9);
   EXPECT_EQ(rendered.Find("classes_total")->AsInt(), 10);
   EXPECT_EQ(rendered.Find("class_pairs_considered")->AsInt(), 11);
   EXPECT_EQ(rendered.Find("answers_multiplied_out")->AsInt(), 12);
+  EXPECT_EQ(rendered.Find("pairs_examined")->AsInt(), 13);
+}
+
+// Every response's "metrics" carries pairs_examined, the pairs whose join
+// bounds the kernels computed — never more than the pairs considered — and
+// EXPLAIN reports it on its prefilter line. The nested sections put most
+// keyword pairs far apart, so the size filter's root windows skip some.
+TEST(ServiceMetrics, ResponsesReportPairsExamined) {
+  collection::Collection collection;
+  ASSERT_TRUE(collection
+                  .AddXml("deep.xml",
+                          "<book><part><chapter><section>"
+                          "<par>alpha</par><par>beta</par></section>"
+                          "<section><par>alpha beta</par></section>"
+                          "</chapter><chapter><section><par>beta</par>"
+                          "<par>alpha</par></section></chapter></part>"
+                          "<part><chapter><section><par>alpha</par>"
+                          "</section><section><par>beta</par></section>"
+                          "</chapter></part></book>")
+                  .ok());
+  QueryService service(collection, ServiceOptions{});
+  for (const char* request :
+       {R"({"terms":["alpha","beta"],"filter":"size<=3",)"
+        R"("strategy":"pushdown","explain":true})",
+        R"({"terms":["alpha","beta"],"filter":"size<=3","top_k":2,)"
+        R"("explain":true})"}) {
+    QueryOutcome outcome = service.HandleQuery(request);
+    ASSERT_EQ(outcome.http_status, 200) << outcome.body.Dump();
+    const json::Value* metrics = outcome.body.Find("metrics");
+    ASSERT_NE(metrics, nullptr);
+    const json::Value* examined = metrics->Find("pairs_examined");
+    ASSERT_NE(examined, nullptr) << outcome.body.Dump();
+    const int64_t considered = metrics->Find("pairs_considered")->AsInt();
+    EXPECT_GT(considered, 0) << request;
+    EXPECT_LT(examined->AsInt(), considered) << request;
+    const std::string explain =
+        (*outcome.body.Find("explain"))[0].Find("text")->AsString();
+    EXPECT_NE(explain.find(", " + std::to_string(examined->AsInt()) +
+                           " examined\n"),
+              std::string::npos)
+        << explain;
+  }
 }
 
 }  // namespace
