@@ -1,6 +1,6 @@
 // Collection-scale evaluation (the paper's "very large collection of XML
-// documents" deployment, §7): term-presence skipping and per-document
-// parallelism across a generated library.
+// documents" deployment, §7): term-presence skipping across a generated
+// library.
 
 #include <cstdio>
 
@@ -72,36 +72,5 @@ int main() {
                 "selection.\n");
   }
 
-  bench::Banner("Per-document parallelism (32 documents, all matching)");
-  {
-    collection::Collection library = MakeLibrary(32, 1500, 1);
-    collection::CollectionEngine engine(library);
-    query::Query q;
-    q.terms = {"kwone", "kwtwo"};
-    q.filter = algebra::filters::SizeAtMost(6);
-    bench::TablePrinter table({"workers", "ms", "speedup", "answers"});
-    double base_ms = 0;
-    for (unsigned workers : {1u, 2u, 4u, 8u}) {
-      collection::CollectionEvalOptions options;
-      options.parallelism = workers;
-      size_t answers = 0;
-      double ms = bench::MedianMillis(
-          [&] {
-            auto result = engine.Evaluate(q, options);
-            if (!result.ok()) std::abort();
-            answers = result->answers.size();
-          },
-          5);
-      if (workers == 1) base_ms = ms;
-      table.AddRow({bench::Cell(static_cast<uint64_t>(workers)),
-                    bench::Cell(ms, 2),
-                    bench::Cell(base_ms / (ms > 0 ? ms : 1e-9), 2),
-                    bench::Cell(answers)});
-    }
-    table.Print();
-    std::printf("\n(Speedup is bounded by available cores; on a single-core "
-                "container the rows\nshould be flat, which is itself the "
-                "correct shape.)\n");
-  }
   return 0;
 }

@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "algebra/ops.h"
 #include "bench_util.h"
 #include "collection/collection.h"
 #include "common/json.h"
@@ -43,11 +42,6 @@ using xfrag::bench::MedianMillis;
 using xfrag::bench::TablePrinter;
 
 constexpr size_t kDocs = 12;
-
-// Restores the global compression switch whatever path exits the bench.
-struct DagSwitchGuard {
-  ~DagSwitchGuard() { xfrag::algebra::SetDagCompressionEnabled(true); }
-};
 
 size_t OccurrenceCount(const xfrag::gen::RawCorpus& raw,
                        const std::string& keyword) {
@@ -144,7 +138,6 @@ uint64_t MetricsCounter(const xfrag::json::Value& body, const char* name) {
 int main(int argc, char** argv) {
   size_t nodes = argc > 1 ? static_cast<size_t>(std::atol(argv[1])) : 3000;
   if (xfrag::bench::BenchSmokeMode()) nodes = std::min<size_t>(nodes, 800);
-  DagSwitchGuard restore_switch;
 
   Banner("DAG-compressed evaluation: duplication sweep (QueryService path)");
 
@@ -179,16 +172,15 @@ int main(int argc, char** argv) {
     // byte-compare below meaningless.
     xfrag::server::ServiceOptions service_options;
     service_options.enable_cross_document_floor = false;
-    xfrag::server::QueryService service_off(collection, service_options);
     xfrag::server::QueryService service_on(collection, service_options);
+    service_options.enable_dag_compression = false;
+    xfrag::server::QueryService service_off(collection, service_options);
 
     for (const OpSpec& op : kOps) {
-      xfrag::algebra::SetDagCompressionEnabled(false);
       xfrag::json::Value body_off = service_off.HandleQuery(op.body).body;
       double off_ms =
           MedianMillis([&] { (void)service_off.HandleQuery(op.body); });
 
-      xfrag::algebra::SetDagCompressionEnabled(true);
       xfrag::json::Value body_on = service_on.HandleQuery(op.body).body;
       double on_ms =
           MedianMillis([&] { (void)service_on.HandleQuery(op.body); });

@@ -98,9 +98,7 @@ int main(int argc, char** argv) {
   xfrag::query::Query query;
   query.terms = {"replication", "consensus"};
   query.filter = *xfrag::query::ParseFilterExpression("size<=5 & height<=2");
-  xfrag::collection::CollectionEvalOptions options;
-  options.parallelism = 4;
-  auto result = engine.Evaluate(query, options);
+  auto result = engine.Evaluate(query);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
@@ -119,7 +117,8 @@ int main(int argc, char** argv) {
       std::printf("  ... (%zu more)\n", result->answers.size() - 6);
       break;
     }
-    std::printf("  [%s] %s\n", answer.document_name.c_str(),
+    std::printf("  [%s] %s\n",
+                library.entry(answer.document_index).name.c_str(),
                 answer.fragment.ToString().c_str());
   }
   return 0;

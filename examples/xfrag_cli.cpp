@@ -179,7 +179,6 @@ int main(int argc, char** argv) {
   xfrag::collection::CollectionEngine engine(collection);
   xfrag::collection::CollectionEvalOptions collection_options;
   collection_options.per_document = options;
-  collection_options.parallelism = collection.size() > 1 ? 4 : 1;
   auto result = engine.Evaluate(query, collection_options);
   if (!result.ok()) {
     std::fprintf(stderr, "query error: %s\n",
@@ -202,7 +201,7 @@ int main(int argc, char** argv) {
     }
     const auto& entry = collection.entry(answer.document_index);
     std::printf("\n-- %s %s (root <%s>, size %zu) --\n",
-                answer.document_name.c_str(),
+                entry.name.c_str(),
                 answer.fragment.ToString().c_str(),
                 std::string(entry.document.tag(answer.fragment.root())).c_str(),
                 answer.fragment.size());

@@ -12,8 +12,8 @@
 # src/ change that breaks the serving benchmark fails here. The sanitizer
 # stages rebuild with -DXFRAG_SANITIZE=address in
 # a separate build dir and run the algebra, query (top-k engine path), and
-# concurrency suites (plus everything labelled `parallel` — ThreadPool, the
-# FixedPointCache hammer, the collection fan-out, and the serial DAG and
+# concurrency suites (plus everything labelled `parallel` — ThreadPool::Post,
+# the FixedPointCache hammer, and the serial DAG and
 # prefilter equivalence suites — and `storage`, the mmap snapshot
 # corruption/fuzz suites) under ASan — the kernels that do manual
 # arena/buffer/mmap work — then rebuild with
@@ -21,9 +21,9 @@
 # loopback integration suite, the /admin/reload epoch-swap suite, and the
 # /query_batch byte-identity suite included), `router` (the scatter-gather
 # tier with its hedging, cancellation, and batch-scatter paths), and
-# `parallel` (ThreadPool, the FixedPointCache hammer, and the collection
-# fan-out) under TSan, since those are the places worker threads share an
-# engine, a pool, or caches. Finally -DXFRAG_SANITIZE=undefined runs the
+# `parallel` (ThreadPool::Post and the FixedPointCache hammer) under TSan,
+# since those are the places worker threads share an engine, a pool, or
+# caches. Finally -DXFRAG_SANITIZE=undefined runs the
 # `server`, `router`, `storage` and `lang` labels plus algebra_test and
 # query_test with halt_on_error, so any undefined behaviour (overflowing
 # casts, misaligned mmap reads, bad shifts) fails the stage instead of only
@@ -37,8 +37,10 @@
 # clean — a parser that walks one byte past a malformed query dies here.
 # The deterministic work-counter gate, query/work_counter_gate_test (exact
 # pairs_considered / pairs_rejected_summary / pairs_examined totals for a
-# fixed size<=3..6 query list, and pairs_examined <= pairs_considered / 10),
-# rides query_test, and the root-window soundness suite,
+# fixed size<=3..6 query list, and pairs_examined <= pairs_considered / 10)
+# and its collection-level sibling, query/collection_work_counter_gate_test
+# (joins, pairs, document counts and answer bytes through QueryService),
+# ride query_test, and the root-window soundness suite,
 # algebra/root_window_test, rides algebra_test: both run in tier-1 and again
 # under ASan and UBSan.
 
@@ -124,8 +126,9 @@ cmake --build build-tsan -j "$JOBS" --target server_test router_test \
 echo "== tsan: run =="
 (cd build-tsan && ctest -L server --output-on-failure -j "$JOBS")
 (cd build-tsan && ctest -L router --output-on-failure -j "$JOBS")
-# The `parallel` label under TSan: ThreadPool, the FixedPointCache hammer
-# and the collection's per-document fan-out must be data-race-free.
+# The `parallel` label under TSan: ThreadPool::Post (many posting threads,
+# drain at destruction) and the FixedPointCache hammer must be
+# data-race-free.
 (cd build-tsan && ctest -L parallel --output-on-failure -j "$JOBS")
 
 echo "== ubsan: build server + router + storage + lang + algebra + query =="

@@ -56,7 +56,7 @@ Fragment TranslateOutcome(const DagPairOutcome& outcome, NodeId anchor,
 }
 
 bool DagUsable(const doc::SubtreeClassIndex* dag, const FilterPtr& filter) {
-  return dag != nullptr && DagCompressionEnabled() && dag->has_duplication() &&
+  return dag != nullptr && dag->has_duplication() &&
          (filter == nullptr || filter->TranslationInvariant());
 }
 

@@ -114,8 +114,8 @@ inline uint64_t DagPairKey(uint32_t form1, uint32_t form2) {
 Fragment TranslateOutcome(const DagPairOutcome& outcome, NodeId anchor,
                           uint32_t anchor_depth);
 
-/// \brief True when the class-aware path may run: a class index is present,
-/// the process-wide switch (SetDagCompressionEnabled) is on, the document
+/// \brief True when the class-aware path may run: the caller passed a class
+/// index (passing none is how DAG compression is switched off), the document
 /// actually contains duplicated subtrees, and the pushed filter commutes
 /// with subtree translation. Callers with additional opaque predicates (the
 /// top-k acceptance lambda, the scorer) are responsible for only passing a

@@ -13,7 +13,6 @@ namespace xfrag::algebra {
 namespace {
 
 std::atomic<bool> g_summary_prefilter_enabled{true};
-std::atomic<bool> g_dag_compression_enabled{true};
 
 void CountJoin(OpMetrics* metrics) {
   if (metrics != nullptr) {
@@ -352,14 +351,6 @@ void SetSummaryPrefilterEnabled(bool enabled) {
 
 bool SummaryPrefilterEnabled() {
   return g_summary_prefilter_enabled.load(std::memory_order_relaxed);
-}
-
-void SetDagCompressionEnabled(bool enabled) {
-  g_dag_compression_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool DagCompressionEnabled() {
-  return g_dag_compression_enabled.load(std::memory_order_relaxed);
 }
 
 JoinBounds ComputeJoinBounds(const Document& document,

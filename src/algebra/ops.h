@@ -154,18 +154,6 @@ JoinBounds ComputeJoinBounds(const Document& document,
 void SetSummaryPrefilterEnabled(bool enabled);
 bool SummaryPrefilterEnabled();
 
-/// \brief Process-wide switch for DAG-compressed (class-aware) evaluation
-/// (default on).
-///
-/// Mirrors SetSummaryPrefilterEnabled: an ablation switch for benches and
-/// equivalence tests. Results and every logical OpMetrics counter are
-/// identical either way; only the wall clock and the dag counters change.
-/// The switch additionally gates the collection/serving-level document
-/// deduplication (collection_engine.cc, service.cc). Not intended to be
-/// toggled while kernels are running.
-void SetDagCompressionEnabled(bool enabled);
-bool DagCompressionEnabled();
-
 /// \brief Definition 5: { f1 ⋈ f2 | f1 ∈ set1, f2 ∈ set2 }, deduplicated.
 FragmentSet PairwiseJoin(const Document& document, const FragmentSet& set1,
                          const FragmentSet& set2, OpMetrics* metrics = nullptr);

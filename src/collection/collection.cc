@@ -17,10 +17,8 @@ Status Collection::Add(std::string name, doc::Document document) {
       text::InvertedIndex::Build(document, index_options_);
   doc::SubtreeClassIndex classes =
       doc::SubtreeClassIndex::Build(document, &interner_);
-  by_name_[name] = entries_.size();
-  entries_.push_back(std::make_unique<CollectionEntry>(
-      std::move(name), std::move(document), std::move(index),
-      std::move(classes)));
+  Append(std::move(name), std::move(document), std::move(index),
+         std::move(classes));
   return Status::OK();
 }
 
@@ -30,11 +28,25 @@ Status Collection::AddPrebuilt(std::string name, doc::Document document,
   if (by_name_.count(name) > 0) {
     return Status::InvalidArgument("duplicate document name '" + name + "'");
   }
-  by_name_[name] = entries_.size();
+  Append(std::move(name), std::move(document), std::move(index),
+         std::move(classes));
+  return Status::OK();
+}
+
+void Collection::Append(std::string name, doc::Document document,
+                        text::InvertedIndex index,
+                        doc::SubtreeClassIndex classes) {
+  const size_t i = entries_.size();
+  by_name_[name] = i;
   entries_.push_back(std::make_unique<CollectionEntry>(
       std::move(name), std::move(document), std::move(index),
       std::move(classes)));
-  return Status::OK();
+  auto [first, inserted] =
+      first_of_root_class_.emplace(entries_[i]->classes.root_class(), i);
+  if (!inserted) {
+    entries_[first->second]->root_class_shared = true;
+    entries_[i]->root_class_shared = true;
+  }
 }
 
 Status Collection::AddXml(std::string name, std::string_view xml_text) {

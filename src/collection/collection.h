@@ -2,8 +2,8 @@
 // the deployment shape the paper claims for the model ("can accommodate a
 // very large collection of XML documents", §7). Documents are independent
 // retrieval units: a fragment never spans documents, so collection-level
-// evaluation is per-document evaluation plus a merge, which the engine
-// parallelizes across documents.
+// evaluation is per-document evaluation plus a merge
+// (collection_engine.h).
 
 #ifndef XFRAG_COLLECTION_COLLECTION_H_
 #define XFRAG_COLLECTION_COLLECTION_H_
@@ -31,6 +31,9 @@ struct CollectionEntry {
   /// DAG-compressed evaluation: `classes.root_class()` identifies duplicate
   /// documents, and the kernels consume the per-node class structure.
   doc::SubtreeClassIndex classes;
+  /// True when another member document has the same root class (is
+  /// byte-identical): only such documents can be served by replay.
+  bool root_class_shared = false;
 
   CollectionEntry(std::string n, doc::Document d, text::InvertedIndex i,
                   doc::SubtreeClassIndex c)
@@ -99,6 +102,10 @@ class Collection {
   /// Total nodes across all documents.
   size_t TotalNodes() const;
 
+  /// Number of distinct root classes, i.e. of pairwise non-identical
+  /// documents.
+  size_t DistinctDocuments() const { return first_of_root_class_.size(); }
+
   /// The collection-global subtree-class interner (class ids are comparable
   /// across member documents).
   const doc::SubtreeClassInterner& subtree_classes() const {
@@ -113,7 +120,13 @@ class Collection {
   std::vector<std::shared_ptr<void>> resources_;
   std::vector<std::unique_ptr<CollectionEntry>> entries_;
   std::unordered_map<std::string, size_t> by_name_;
+  /// The first member of each root class, for root_class_shared.
+  std::unordered_map<doc::SubtreeClassId, size_t> first_of_root_class_;
   bool frozen_ = false;
+
+  /// Appends an entry, marking it and its first same-class member shared.
+  void Append(std::string name, doc::Document document,
+              text::InvertedIndex index, doc::SubtreeClassIndex classes);
 };
 
 }  // namespace xfrag::collection

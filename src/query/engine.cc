@@ -178,9 +178,7 @@ StatusOr<EvalResult> QueryEngine::RunPlan(
   // when the caller attached a class index, so single-document EXPLAIN output
   // is unchanged.
   if (options.executor.subtree_classes != nullptr) {
-    if (!algebra::DagCompressionEnabled()) {
-      result.explain += "dag: off (compression disabled)\n";
-    } else if (!options.executor.subtree_classes->has_duplication()) {
+    if (!options.executor.subtree_classes->has_duplication()) {
       result.explain += "dag: bypass (no duplicated subtrees)\n";
     } else {
       result.explain += StrFormat(

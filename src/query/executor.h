@@ -45,10 +45,10 @@ struct ExecutorOptions {
   /// witnesses legitimately live elsewhere (other documents).
   bool audit_score_floor = false;
   /// Optional subtree-class index of `document` (doc/subtree_classes.h).
-  /// When set — and the global SetDagCompressionEnabled switch is on — the
-  /// join/select/fixed-point kernels evaluate filters and joins once per
-  /// subtree equivalence class and replay the outcome for every other
-  /// occurrence (DAG-compressed evaluation, docs/ALGEBRA.md). Results and
+  /// When set, the join/select/fixed-point kernels evaluate filters and
+  /// joins once per subtree equivalence class and replay the outcome for
+  /// every other occurrence (DAG-compressed evaluation, docs/ALGEBRA.md);
+  /// leaving it null is how DAG compression is switched off. Results and
   /// logical counters are bit-identical to the uncompressed run; only the
   /// dag:* counters of OpMetrics depend on it. The kernels self-gate on each
   /// plan filter's TranslationInvariant(); the top-k path additionally

@@ -156,10 +156,9 @@ Router::Router(ShardMap map, RouterOptions options)
   // Sized so every worker can have all its shard legs plus a hedge in
   // flight without queuing behind another request's fan-out.
   size_t fanout = static_cast<size_t>(std::max(1, options_.workers)) *
-                      (shards_.size() + 1) +
-                  1;
+                  (shards_.size() + 1);
   fanout_pool_ = std::make_unique<ThreadPool>(
-      static_cast<unsigned>(std::clamp<size_t>(fanout, 2, 128)));
+      static_cast<unsigned>(std::clamp<size_t>(fanout, 1, 127)));
 }
 
 Router::~Router() { Shutdown(); }

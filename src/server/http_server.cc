@@ -78,10 +78,7 @@ Status HttpServer::Start() {
   // and a full pipe must not block parking (the poller is awake anyway).
   (void)::fcntl(wake_read_.get(), F_SETFL, O_NONBLOCK);
   (void)::fcntl(wake_write_.get(), F_SETFL, O_NONBLOCK);
-  // +1: ThreadPool(p) spawns p-1 OS threads, and Post()ed work only runs on
-  // spawned threads — the accept loop never calls into the pool's run loop.
-  pool_ = std::make_unique<ThreadPool>(
-      static_cast<unsigned>(options_.workers) + 1);
+  pool_ = std::make_unique<ThreadPool>(static_cast<unsigned>(options_.workers));
   started_.store(true);
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <optional>
-#include <set>
 #include <thread>
-#include <unordered_map>
 
+#include "collection/collection_engine.h"
 #include "common/cancel.h"
 #include "common/strings.h"
 #include "common/timer.h"
@@ -361,47 +359,15 @@ std::string ResultCacheKey(const ParsedRequest& request) {
   return key;
 }
 
-// Per-request store of one evaluated document's result, keyed by the
-// document's subtree root class: a later document with the same root class
-// is byte-identical, so its evaluation is replayed from here (same answers
-// — node ids are document-local — same scores, same work counters).
-struct StoredDocResult {
-  algebra::OpMetrics metrics;
-  std::vector<query::RankedAnswer> ranked;
-  algebra::FragmentSet answers;
-};
-
-// One globally ranked answer, carrying its source document.
-struct RankedHit {
-  double score = 0.0;
-  size_t document_index = 0;
-  Fragment fragment;
-};
-
-// Cross-document rank order: score descending, then document index, then
-// canonical fragment order — fully deterministic.
-bool OutranksHit(const RankedHit& a, const RankedHit& b) {
-  if (a.score != b.score) return a.score > b.score;
-  if (a.document_index != b.document_index) {
-    return a.document_index < b.document_index;
-  }
-  return a.fragment < b.fragment;
-}
-
 }  // namespace
 
 QueryService::QueryService(const collection::Collection& collection,
                            ServiceOptions options)
     : collection_(collection), options_(options) {
   caches_.reserve(collection_.size());
-  std::unordered_map<doc::SubtreeClassId, size_t> root_class_counts;
   for (size_t i = 0; i < collection_.size(); ++i) {
     caches_.push_back(std::make_unique<query::FixedPointCache>(
         options_.fixed_point_cache));
-    if (++root_class_counts[collection_.entry(i).classes.root_class()] == 2) {
-      duplicate_root_classes_.insert(
-          collection_.entry(i).classes.root_class());
-    }
   }
   ResultCacheOptions cache_options;
   cache_options.max_bytes = options_.result_cache_bytes;
@@ -500,196 +466,88 @@ QueryOutcome QueryService::RunParsed(
     std::this_thread::sleep_for(sleep);
   }
 
-  QueryOutcome outcome;
-  json::Value answers = json::Value::Array();
-  json::Value explains = json::Value::Array();
-  size_t answer_count = 0;
-  size_t documents_evaluated = 0;
-  size_t documents_skipped = 0;
-  bool truncated = false;
-
-  // Ranked evaluation asks each document for its k best answers (the global
-  // top k is a subset of the per-document top k's), then merges. "rank"
-  // without "top_k" ranks everything: an effectively-unbounded k keeps the
-  // engine on the ranked path without ever pruning.
-  const bool ranked_mode = request.rank;
-  const int64_t effective_k = request.top_k >= 0
-                                  ? request.top_k
-                                  : std::numeric_limits<int64_t>::max();
-  std::vector<RankedHit> hits;
-
-  // The running k best scores across already-evaluated documents: once k
-  // answers are known, the smallest of them is a sound floor for every later
-  // document (its witnesses are real answers of this very query), so the
-  // bound each collector prunes against only ever rises (docs/SERVING.md).
-  const bool self_seed =
-      options_.enable_cross_document_floor && request.top_k > 0;
-  std::multiset<double> best_scores;
-
-  // Document-class dedup (DAG compression): documents whose roots intern to
-  // the same subtree class are byte-identical, so the first one evaluated in
-  // this request serves as the representative and later members replay its
-  // stored result. EXPLAIN requests evaluate every document (each body
-  // carries a per-document explain entry), so they skip the dedup.
-  const bool dedup_documents =
-      algebra::DagCompressionEnabled() && !request.explain;
-  std::unordered_map<doc::SubtreeClassId, StoredDocResult> evaluated_classes;
-  size_t documents_deduplicated = 0;
-
-  // Feeds one document's result — evaluated or replayed — into the
-  // response: ranked hits (raising the running floor), or unranked answers
-  // under the max_answers cut.
-  auto add_document = [&](size_t i, std::vector<query::RankedAnswer> ranked,
-                          const algebra::FragmentSet& document_answers) {
-    ++documents_evaluated;
-    if (ranked_mode) {
-      for (query::RankedAnswer& answer : ranked) {
-        if (self_seed) {
-          best_scores.insert(answer.score);
-          if (best_scores.size() > static_cast<size_t>(request.top_k)) {
-            best_scores.erase(best_scores.begin());
-          }
-        }
-        hits.push_back(RankedHit{answer.score, i, std::move(answer.fragment)});
-      }
-      return;
+  // Ranked evaluation: "top_k" asks for the k best answers across the
+  // collection; "rank" alone ranks them all.
+  collection::CollectionEvalOptions eval;
+  eval.per_document = request.eval;
+  if (request.rank) {
+    eval.per_document.top_k =
+        request.top_k >= 0 ? request.top_k : collection::kRankAll;
+  }
+  eval.plan = request.plan.get();
+  eval.fixed_point_caches = caches_;
+  eval.dag_compression = options_.enable_dag_compression;
+  eval.cross_document_floor = options_.enable_cross_document_floor;
+  eval.explain = request.explain;
+  collection::CollectionResult partial;
+  auto result = collection::CollectionEngine(collection_)
+                    .Evaluate(request.query, eval, &partial);
+  if (!result.ok()) {
+    QueryOutcome error = ErrorOutcome(result.status());
+    error.metrics = partial.metrics;
+    error.body.Set("documents_evaluated",
+                   static_cast<uint64_t>(partial.documents_evaluated));
+    error.body.Set("metrics", StatsRegistry::OpMetricsToJson(error.metrics));
+    if (error.http_status == 504) {
+      error.body.Set("partial", true);
     }
-    const collection::CollectionEntry& entry = collection_.entry(i);
-    for (const Fragment& fragment : document_answers.Sorted()) {
-      ++answer_count;
-      if (request.max_answers >= 0 &&
-          answers.size() >= static_cast<size_t>(request.max_answers)) {
-        truncated = true;
-        continue;
-      }
-      answers.Append(AnswerToJson(entry.name, i, fragment, entry.document,
-                                  request.include_xml));
-    }
-  };
-
-  for (size_t i = 0; i < collection_.size(); ++i) {
-    const collection::CollectionEntry& entry = collection_.entry(i);
-    // Conjunctive pre-check, as in CollectionEngine: a document missing any
-    // term cannot contribute answers, so skip it without building a plan.
-    bool has_all_terms = true;
-    for (const std::string& term : request.query.terms) {
-      if (entry.index.Lookup(term).empty()) {
-        has_all_terms = false;
-        break;
-      }
-    }
-    if (!has_all_terms) {
-      ++documents_skipped;
-      continue;
-    }
-
-    const bool dedup_this_document =
-        dedup_documents &&
-        duplicate_root_classes_.count(entry.classes.root_class()) > 0;
-    if (dedup_this_document) {
-      auto it = evaluated_classes.find(entry.classes.root_class());
-      if (it != evaluated_classes.end()) {
-        // Replay the representative: identical documents yield identical
-        // answers (node ids are document-local), scores, and counters, so
-        // the response body is bit-identical to evaluating this document.
-        const StoredDocResult& stored = it->second;
-        outcome.metrics.Merge(stored.metrics);
-        ++documents_deduplicated;
-        add_document(i, stored.ranked, stored.answers);
-        continue;
-      }
-    }
-
-    query::EvalOptions eval = request.eval;
-    eval.executor.fixed_point_cache = caches_[i].get();
-    eval.executor.subtree_classes = &entry.classes;
-    if (ranked_mode) eval.top_k = effective_k;
-    if (self_seed && best_scores.size() >= static_cast<size_t>(request.top_k)) {
-      eval.executor.score_floor = *best_scores.begin();
-    }
-    OpMetrics partial;
-    eval.metrics_sink = &partial;
-    query::QueryEngine engine(entry.document, entry.index);
-    auto result = request.plan != nullptr
-                      ? engine.EvaluatePlan(*request.plan, request.query.terms,
-                                            eval)
-                      : engine.Evaluate(request.query, eval);
-    outcome.metrics.Merge(partial);
-    if (!result.ok()) {
-      QueryOutcome error = ErrorOutcome(result.status());
-      error.metrics = outcome.metrics;
-      error.body.Set("documents_evaluated",
-                     static_cast<uint64_t>(documents_evaluated));
-      error.body.Set("metrics", StatsRegistry::OpMetricsToJson(error.metrics));
-      if (error.http_status == 504) {
-        error.body.Set("partial", true);
-      }
-      return error;
-    }
-    if (dedup_this_document) {
-      StoredDocResult stored;
-      stored.metrics = partial;
-      stored.ranked = result->ranked;
-      stored.answers = result->answers;
-      evaluated_classes.emplace(entry.classes.root_class(),
-                                std::move(stored));
-    }
-    add_document(i, std::move(result->ranked), result->answers);
-    if (request.explain) {
-      json::Value explain = json::Value::Object();
-      explain.Set("document", entry.name);
-      explain.Set("strategy_used",
-                  std::string(query::StrategyName(result->strategy_used)));
-      explain.Set("text", result->explain);
-      explains.Append(std::move(explain));
-    }
+    return error;
   }
 
-  if (ranked_mode) {
-    std::sort(hits.begin(), hits.end(), OutranksHit);
-    if (hits.size() > static_cast<uint64_t>(effective_k)) {
-      hits.erase(hits.begin() + static_cast<ptrdiff_t>(effective_k),
-                 hits.end());
-    }
-    answer_count = hits.size();
-    for (const RankedHit& hit : hits) {
-      if (request.max_answers >= 0 &&
-          answers.size() >= static_cast<size_t>(request.max_answers)) {
-        truncated = true;
-        break;
-      }
-      const collection::CollectionEntry& entry =
-          collection_.entry(hit.document_index);
-      json::Value answer =
-          AnswerToJson(entry.name, hit.document_index, hit.fragment,
-                       entry.document, request.include_xml);
-      answer.Set("score", hit.score);
-      answers.Append(std::move(answer));
-    }
+  json::Value answers = json::Value::Array();
+  const size_t shown =
+      request.max_answers >= 0
+          ? std::min(result->answers.size(),
+                     static_cast<size_t>(request.max_answers))
+          : result->answers.size();
+  for (size_t a = 0; a < shown; ++a) {
+    const collection::CollectionAnswer& hit = result->answers[a];
+    const collection::CollectionEntry& entry =
+        collection_.entry(hit.document_index);
+    json::Value answer = AnswerToJson(entry.name, hit.document_index,
+                                      hit.fragment, entry.document,
+                                      request.include_xml);
+    if (request.rank) answer.Set("score", hit.score);
+    answers.Append(std::move(answer));
   }
 
   json::Value body = json::Value::Object();
   body.Set("query", request.display.empty() ? request.query.ToString()
                                             : request.display);
-  if (ranked_mode) {
+  if (request.rank) {
     body.Set("ranked", true);
     if (request.top_k >= 0) body.Set("top_k", request.top_k);
   }
   body.Set("documents", static_cast<uint64_t>(collection_.size()));
-  body.Set("documents_evaluated", static_cast<uint64_t>(documents_evaluated));
-  body.Set("documents_skipped", static_cast<uint64_t>(documents_skipped));
-  body.Set("answer_count", static_cast<uint64_t>(answer_count));
-  if (truncated) body.Set("truncated", true);
+  body.Set("documents_evaluated",
+           static_cast<uint64_t>(result->documents_evaluated));
+  body.Set("documents_skipped",
+           static_cast<uint64_t>(result->documents_skipped));
+  body.Set("answer_count", static_cast<uint64_t>(result->answers.size()));
+  if (shown < result->answers.size()) body.Set("truncated", true);
   body.Set("answers", std::move(answers));
-  body.Set("metrics", StatsRegistry::OpMetricsToJson(outcome.metrics));
-  if (request.explain) body.Set("explain", std::move(explains));
+  body.Set("metrics", StatsRegistry::OpMetricsToJson(result->metrics));
+  if (request.explain) {
+    json::Value explains = json::Value::Array();
+    for (const collection::DocumentExplain& doc : result->explains) {
+      json::Value explain = json::Value::Object();
+      explain.Set("document", collection_.entry(doc.document_index).name);
+      explain.Set("strategy_used",
+                  std::string(query::StrategyName(doc.strategy_used)));
+      explain.Set("text", doc.text);
+      explains.Append(std::move(explain));
+    }
+    body.Set("explain", std::move(explains));
+  }
   body.Set("elapsed_ms", timer.ElapsedMillis());
-  dag_documents_deduplicated_.fetch_add(documents_deduplicated,
+  dag_documents_deduplicated_.fetch_add(result->documents_deduplicated,
                                         std::memory_order_relaxed);
   dag_class_pairs_considered_.fetch_add(
-      outcome.metrics.class_pairs_considered, std::memory_order_relaxed);
+      result->metrics.class_pairs_considered, std::memory_order_relaxed);
   dag_answers_multiplied_out_.fetch_add(
-      outcome.metrics.answers_multiplied_out, std::memory_order_relaxed);
+      result->metrics.answers_multiplied_out, std::memory_order_relaxed);
+  QueryOutcome outcome;
+  outcome.metrics = result->metrics;
   outcome.body = std::move(body);
   // Only fully successful bodies are cached (errors and deadline
   // expirations returned above never reach this point).
@@ -838,7 +696,7 @@ json::Value QueryService::BatchStatsJson() const {
 json::Value QueryService::DagStatsJson() const {
   const doc::SubtreeClassInterner& interner = collection_.subtree_classes();
   json::Value body = json::Value::Object();
-  body.Set("enabled", algebra::DagCompressionEnabled());
+  body.Set("enabled", options_.enable_dag_compression);
   body.Set("classes", static_cast<uint64_t>(interner.size()));
   const uint64_t total_nodes = collection_.TotalNodes();
   body.Set("total_nodes", total_nodes);
@@ -848,12 +706,9 @@ json::Value QueryService::DagStatsJson() const {
                ? static_cast<double>(total_nodes) /
                      static_cast<double>(interner.unique_subtree_nodes())
                : 1.0);
-  std::set<doc::SubtreeClassId> root_classes;
-  for (size_t i = 0; i < collection_.size(); ++i) {
-    root_classes.insert(collection_.entry(i).classes.root_class());
-  }
   body.Set("documents", static_cast<uint64_t>(collection_.size()));
-  body.Set("distinct_documents", static_cast<uint64_t>(root_classes.size()));
+  body.Set("distinct_documents",
+           static_cast<uint64_t>(collection_.DistinctDocuments()));
   body.Set("documents_deduplicated",
            dag_documents_deduplicated_.load(std::memory_order_relaxed));
   body.Set("class_pairs_considered",

@@ -1,8 +1,9 @@
 // The serving core of xfragd, separated from the socket layer so the whole
 // request→response path is unit-testable without a network: parse a JSON
-// query request, evaluate it per document against the collection (shared
-// per-document FixedPointCaches make concurrent identical queries hit warm
-// closures), and render a JSON response with answers, metrics, and EXPLAIN.
+// query request, evaluate it with the collection's one document loop
+// (collection::CollectionEngine; shared per-document FixedPointCaches make
+// concurrent identical queries hit warm closures), and render a JSON
+// response with answers, metrics, and EXPLAIN.
 //
 // The JSON request schema (POST /query):
 //   {
@@ -51,7 +52,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "collection/collection.h"
@@ -96,6 +96,11 @@ struct ServiceOptions {
   /// never answers; tests that compare metrics byte-for-byte across
   /// different document partitions turn it off.
   bool enable_cross_document_floor = true;
+  /// DAG compression (docs/SERVING.md): the kernels replay work across
+  /// identical subtrees and byte-identical documents replay one document's
+  /// evaluation. Changes wall clock and the dag counters, never a body's
+  /// answers or logical counters; off evaluates every document plainly.
+  bool enable_dag_compression = true;
   /// Maximum items one POST /query_batch request may carry; a larger batch
   /// is rejected whole with a structured 400 (the batch holds exactly one
   /// admission slot, so the cap bounds the work a slot can claim).
@@ -187,7 +192,8 @@ class QueryService {
 
  private:
   /// \brief Runs one decoded request end to end (result-cache lookup,
-  /// deadline, per-document evaluation, rendering, cache fill).
+  /// deadline, collection::CollectionEngine::Evaluate, rendering, cache
+  /// fill).
   /// `batch_deadline`, when set, caps the request's own deadline: a
   /// /query_batch item never runs past the end of its batch.
   QueryOutcome RunParsed(
@@ -201,10 +207,6 @@ class QueryService {
   std::vector<std::unique_ptr<query::FixedPointCache>> caches_;
   /// Whole-response cache (internally synchronized; disabled by default).
   std::unique_ptr<ResultCache> result_cache_;
-  /// Root classes shared by >= 2 member documents: only these can ever be
-  /// deduplicated, so requests over a duplicate-free collection skip the
-  /// replay bookkeeping (no result copies, no map) entirely.
-  std::unordered_set<doc::SubtreeClassId> duplicate_root_classes_;
   /// DAG-compression observability (GET /metrics): documents served by
   /// replaying a byte-identical representative, and the kernel-level replay
   /// counters accumulated across successful /query requests.

@@ -21,14 +21,9 @@
 namespace xfrag::algebra {
 namespace {
 
-// Restores the process-wide switch whatever path exits the test.
-struct DagSwitchGuard {
-  explicit DagSwitchGuard(bool enabled) { SetDagCompressionEnabled(enabled); }
-  ~DagSwitchGuard() { SetDagCompressionEnabled(true); }
-};
-
-// Same for the summary-prefilter switch: replay must reproduce the kernels'
-// results and logical counters on both the prefiltered and the plain path.
+// Restores the summary-prefilter switch whatever path exits the test: replay
+// must reproduce the kernels' results and logical counters on both the
+// prefiltered and the plain path.
 struct PrefilterSwitchGuard {
   explicit PrefilterSwitchGuard(bool enabled) {
     SetSummaryPrefilterEnabled(enabled);
@@ -135,7 +130,6 @@ class DagEquivalenceTest
 
 TEST_P(DagEquivalenceTest, PairwiseJoinFiltered) {
   StampedInput input = MakeStampedInput(seed(), duplication());
-  DagSwitchGuard guard(true);
   FilterPtr filter = filters::SizeAtMost(5);
   FilterContext context{input.document.get(), input.index.get()};
   OpMetrics baseline_metrics, serial_metrics;
@@ -154,7 +148,6 @@ TEST_P(DagEquivalenceTest, PairwiseJoinFiltered) {
 
 TEST_P(DagEquivalenceTest, SelectAndFixedPointFiltered) {
   StampedInput input = MakeStampedInput(seed(), duplication());
-  DagSwitchGuard guard(true);
   FilterPtr filter = filters::SizeAtMost(6);
   FilterContext context{input.document.get(), input.index.get()};
 
@@ -179,7 +172,6 @@ TEST_P(DagEquivalenceTest, SelectAndFixedPointFiltered) {
 
 TEST_P(DagEquivalenceTest, TopKBitIdenticalAcrossKValues) {
   StampedInput input = MakeStampedInput(seed(), duplication());
-  DagSwitchGuard guard(true);
   FilterPtr filter = filters::SizeAtMost(5);
   FilterContext context{input.document.get(), input.index.get()};
   query::AnswerScorer scorer({"kwone", "kwtwo"}, *input.document,
@@ -253,16 +245,13 @@ TEST_P(DagEquivalenceTest, EngineBitIdenticalAcrossStrategiesAndSwitch) {
   for (query::Strategy strategy :
        {query::Strategy::kFixedPointNaive, query::Strategy::kFixedPointReduced,
         query::Strategy::kPushDown}) {
+    // DAG compression is off when no class index is passed.
     query::EvalOptions options;
     options.strategy = strategy;
-    options.executor.subtree_classes = input.classes.get();
-    StatusOr<query::EvalResult> off = [&] {
-      DagSwitchGuard guard(false);
-      return engine.Evaluate(q, options);
-    }();
+    auto off = engine.Evaluate(q, options);
     ASSERT_TRUE(off.ok()) << off.status().ToString();
 
-    DagSwitchGuard guard(true);
+    options.executor.subtree_classes = input.classes.get();
     auto on = engine.Evaluate(q, options);
     ASSERT_TRUE(on.ok()) << on.status().ToString();
     ExpectIdenticalSets(off->answers, on->answers);
@@ -288,7 +277,6 @@ INSTANTIATE_TEST_SUITE_P(
 // node, so (kwone@occ1 × kwtwo@occ1) gets evaluated and cached and
 // (kwone@occ2 × kwtwo@occ2) is a pure replay.
 TEST(DagEngagementTest, ReplayCountersAdvanceOnDuplicatedCorpus) {
-  DagSwitchGuard guard(true);
   auto document = doc::Document::FromParents(
       {doc::kNoNode, 0, 1, 1, 1, 1, 0, 6, 6, 6, 6, 0},
       {"r", "a", "h", "k", "h", "k", "a", "h", "k", "h", "k", "c"},
@@ -327,7 +315,6 @@ TEST(DagEngagementTest, ReplayCountersAdvanceOnDuplicatedCorpus) {
 // has_duplication() bypass — no class bookkeeping, dag counters stay zero —
 // while producing the same results.
 TEST(DagEngagementTest, DuplicateFreeCorpusBypasses) {
-  DagSwitchGuard guard(true);
   StampedInput input = MakeStampedInput(71, /*duplication=*/0.0);
   ASSERT_FALSE(input.classes->has_duplication());
   FilterPtr filter = filters::SizeAtMost(5);
@@ -363,7 +350,6 @@ class ParityFilter : public Filter {
 // A filter that is not translation-invariant must disable the class-aware
 // path (DagUsable) — outcomes at one occurrence do not transfer.
 TEST(DagEngagementTest, NonTranslationInvariantFilterDisablesReplay) {
-  DagSwitchGuard guard(true);
   StampedInput input = MakeStampedInput(81, 0.9);
   FilterContext context{input.document.get(), input.index.get()};
   FilterPtr parity = std::make_shared<ParityFilter>();

@@ -4,19 +4,11 @@
 
 #include <gtest/gtest.h>
 
-#include "algebra/ops.h"
 #include "collection/collection_engine.h"
 #include "gen/corpus.h"
 
 namespace xfrag::collection {
 namespace {
-
-struct DagSwitchGuard {
-  explicit DagSwitchGuard(bool enabled) {
-    algebra::SetDagCompressionEnabled(enabled);
-  }
-  ~DagSwitchGuard() { algebra::SetDagCompressionEnabled(true); }
-};
 
 // Four documents, two byte-identical pairs plus nothing unique: classes
 // {A, A, B, B}.
@@ -42,6 +34,11 @@ TEST(CollectionDagTest, IdenticalDocumentsShareARootClass) {
             collection.entry(3).classes.root_class());
   EXPECT_NE(collection.entry(0).classes.root_class(),
             collection.entry(1).classes.root_class());
+  // Every member shares its root class with another: all may replay.
+  for (size_t i = 0; i < collection.size(); ++i) {
+    EXPECT_TRUE(collection.entry(i).root_class_shared) << i;
+  }
+  EXPECT_EQ(collection.DistinctDocuments(), 2u);
   // The shared interner has seen every document.
   EXPECT_GT(collection.subtree_classes().size(), 0u);
   EXPECT_EQ(collection.subtree_classes().occurrences(
@@ -55,16 +52,14 @@ TEST(CollectionDagTest, EngineDeduplicatesAndStaysIdentical) {
   query::Query q;
   q.terms = {"apples", "oranges"};
 
-  DagSwitchGuard on(true);
   auto compressed = engine.Evaluate(q);
   ASSERT_TRUE(compressed.ok()) << compressed.status().ToString();
   // One representative evaluated per class; the other member replayed.
   EXPECT_EQ(compressed->documents_deduplicated, 2u);
 
-  auto baseline = [&] {
-    DagSwitchGuard off(false);
-    return engine.Evaluate(q);
-  }();
+  CollectionEvalOptions off;
+  off.dag_compression = false;
+  auto baseline = engine.Evaluate(q, off);
   ASSERT_TRUE(baseline.ok());
   EXPECT_EQ(baseline->documents_deduplicated, 0u);
 
@@ -74,8 +69,6 @@ TEST(CollectionDagTest, EngineDeduplicatesAndStaysIdentical) {
   for (size_t i = 0; i < baseline->answers.size(); ++i) {
     EXPECT_EQ(baseline->answers[i].document_index,
               compressed->answers[i].document_index);
-    EXPECT_EQ(baseline->answers[i].document_name,
-              compressed->answers[i].document_name);
     EXPECT_EQ(baseline->answers[i].fragment, compressed->answers[i].fragment);
   }
   EXPECT_EQ(baseline->documents_evaluated, compressed->documents_evaluated);
@@ -92,7 +85,8 @@ TEST(CollectionDagTest, DuplicateFreeCollectionNeverDeduplicates) {
   CollectionEngine engine(collection);
   query::Query q;
   q.terms = {"apples"};
-  DagSwitchGuard on(true);
+  EXPECT_FALSE(collection.entry(0).root_class_shared);
+  EXPECT_FALSE(collection.entry(1).root_class_shared);
   auto result = engine.Evaluate(q);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->documents_deduplicated, 0u);

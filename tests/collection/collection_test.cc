@@ -1,11 +1,15 @@
-// Collection container + collection-wide query evaluation, including the
-// parallel path and determinism of merged results.
+// Collection container + collection-wide query evaluation: term skipping,
+// the merge in document order or by rank, and the error contract.
 
 #include "collection/collection_engine.h"
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "../testutil.h"
+#include "common/cancel.h"
 #include "gen/corpus.h"
 #include "gen/paper_document.h"
 
@@ -80,7 +84,7 @@ TEST(CollectionEngineTest, EvaluatesOnlyDocumentsWithAllTerms) {
   EXPECT_EQ(result->documents_skipped, 1u);
   ASSERT_FALSE(result->answers.empty());
   for (const auto& answer : result->answers) {
-    EXPECT_NE(answer.document_name, "beta.xml");
+    EXPECT_NE(collection.entry(answer.document_index).name, "beta.xml");
   }
 }
 
@@ -116,8 +120,8 @@ TEST(CollectionEngineTest, EmptyCollectionYieldsEmptyResult) {
   EXPECT_EQ(result->documents_evaluated, 0u);
 }
 
-TEST(CollectionEngineTest, ParallelMatchesSequential) {
-  // A larger generated collection exercises the parallel path.
+// Half the documents of a generated library hold both terms.
+Collection MakeGeneratedLibrary() {
   Collection collection;
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     gen::CorpusProfile profile;
@@ -126,38 +130,98 @@ TEST(CollectionEngineTest, ParallelMatchesSequential) {
     gen::RawCorpus raw = gen::GenerateRaw(profile);
     Rng rng(seed ^ 0xc0);
     gen::PlantKeyword(&raw, "kwone", 5, gen::PlantMode::kClustered, &rng);
-    if (seed % 2 == 0) {  // Half the documents have both terms.
+    if (seed % 2 == 0) {
       gen::PlantKeyword(&raw, "kwtwo", 4, gen::PlantMode::kScattered, &rng);
     }
     auto document = gen::Materialize(raw);
-    ASSERT_TRUE(document.ok());
-    ASSERT_TRUE(collection
+    EXPECT_TRUE(document.ok());
+    EXPECT_TRUE(collection
                     .Add("doc" + std::to_string(seed),
                          std::move(document).value())
                     .ok());
   }
-  CollectionEngine engine(collection);
+  return collection;
+}
+
+TEST(CollectionEngineTest, GeneratedLibraryMatchesPerDocumentEngine) {
+  Collection collection = MakeGeneratedLibrary();
   query::Query q;
   q.terms = {"kwone", "kwtwo"};
   q.filter = algebra::filters::SizeAtMost(6);
+  auto result = CollectionEngine(collection).Evaluate(q);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->documents_skipped, 4u);
+  EXPECT_EQ(result->documents_evaluated, 4u);
 
-  CollectionEvalOptions sequential;
-  sequential.parallelism = 1;
-  auto seq = engine.Evaluate(q, sequential);
-  ASSERT_TRUE(seq.ok());
-  EXPECT_EQ(seq->documents_skipped, 4u);
-
-  CollectionEvalOptions parallel;
-  parallel.parallelism = 4;
-  auto par = engine.Evaluate(q, parallel);
-  ASSERT_TRUE(par.ok());
-
-  ASSERT_EQ(seq->answers.size(), par->answers.size());
-  for (size_t i = 0; i < seq->answers.size(); ++i) {
-    EXPECT_EQ(seq->answers[i].document_index, par->answers[i].document_index);
-    EXPECT_EQ(seq->answers[i].fragment, par->answers[i].fragment);
+  // The collection result is each holding document's own evaluation, in
+  // document order, with the metrics summed.
+  std::vector<CollectionAnswer> expected;
+  algebra::OpMetrics expected_metrics;
+  for (size_t i = 0; i < collection.size(); ++i) {
+    const CollectionEntry& entry = collection.entry(i);
+    if (entry.index.Lookup("kwtwo").empty()) continue;
+    auto own = query::QueryEngine(entry.document, entry.index).Evaluate(q);
+    ASSERT_TRUE(own.ok());
+    expected_metrics.Merge(own->metrics);
+    for (const algebra::Fragment& fragment : own->answers.Sorted()) {
+      expected.push_back(CollectionAnswer{i, fragment});
+    }
   }
-  EXPECT_EQ(seq->metrics.fragment_joins, par->metrics.fragment_joins);
+  ASSERT_EQ(result->answers.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(result->answers[i].document_index, expected[i].document_index);
+    EXPECT_EQ(result->answers[i].fragment, expected[i].fragment);
+  }
+  EXPECT_TRUE(result->metrics == expected_metrics);
+}
+
+TEST(CollectionEngineTest, TopKIsTheBestKAcrossDocuments) {
+  Collection collection = MakeGeneratedLibrary();
+  query::Query q;
+  q.terms = {"kwone", "kwtwo"};
+  q.filter = algebra::filters::SizeAtMost(6);
+  CollectionEngine engine(collection);
+  CollectionEvalOptions all;
+  all.per_document.top_k = kRankAll;
+  auto ranked = engine.Evaluate(q, all);
+  ASSERT_TRUE(ranked.ok());
+  ASSERT_GT(ranked->answers.size(), 5u);
+  for (size_t i = 1; i < ranked->answers.size(); ++i) {
+    EXPECT_GE(ranked->answers[i - 1].score, ranked->answers[i].score);
+  }
+  // With or without the cross-document floor, top_k 5 is the ranked prefix.
+  for (bool floor : {false, true}) {
+    CollectionEvalOptions top5;
+    top5.per_document.top_k = 5;
+    top5.cross_document_floor = floor;
+    auto best = engine.Evaluate(q, top5);
+    ASSERT_TRUE(best.ok());
+    ASSERT_EQ(best->answers.size(), 5u);
+    for (size_t i = 0; i < 5; ++i) {
+      EXPECT_EQ(best->answers[i].document_index,
+                ranked->answers[i].document_index);
+      EXPECT_EQ(best->answers[i].fragment, ranked->answers[i].fragment);
+      EXPECT_EQ(best->answers[i].score, ranked->answers[i].score);
+    }
+  }
+}
+
+TEST(CollectionEngineTest, FailureStopsAndKeepsThePartialCounts) {
+  Collection collection = MakeGeneratedLibrary();
+  query::Query q;
+  q.terms = {"kwone", "kwtwo"};
+  CancelToken cancelled;
+  cancelled.Cancel();
+  CollectionEvalOptions options;
+  options.per_document.executor.cancel = &cancelled;
+  CollectionResult partial;
+  partial.documents_evaluated = 99;
+  auto result = CollectionEngine(collection).Evaluate(q, options, &partial);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  // The first holding document (doc2) failed: doc1 was skipped before it.
+  EXPECT_EQ(partial.documents_evaluated, 0u);
+  EXPECT_EQ(partial.documents_skipped, 1u);
 }
 
 TEST(CollectionEngineTest, PaperDocumentInACollection) {
@@ -179,7 +243,7 @@ TEST(CollectionEngineTest, PaperDocumentInACollection) {
   EXPECT_EQ(result->documents_skipped, 1u);
   ASSERT_EQ(result->answers.size(), 4u);
   for (const auto& answer : result->answers) {
-    EXPECT_EQ(answer.document_name, "figure1.xml");
+    EXPECT_EQ(collection.entry(answer.document_index).name, "figure1.xml");
   }
 }
 

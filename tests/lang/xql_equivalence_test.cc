@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "algebra/ops.h"
 #include "collection/collection.h"
 #include "common/json.h"
 #include "common/strings.h"
@@ -20,13 +19,6 @@
 
 namespace xfrag::server {
 namespace {
-
-struct DagSwitchGuard {
-  explicit DagSwitchGuard(bool enabled) {
-    algebra::SetDagCompressionEnabled(enabled);
-  }
-  ~DagSwitchGuard() { algebra::SetDagCompressionEnabled(true); }
-};
 
 collection::Collection MakeCollection() {
   collection::Collection collection;
@@ -90,11 +82,12 @@ const char* const kStrategies[] = {"auto", "brute", "naive", "reduced",
 
 void ExpectPairIdentity(const collection::Collection& collection,
                         const std::string& json_request,
-                        const std::string& xql_text,
+                        const std::string& xql_text, bool dag,
                         const std::string& context) {
   // Fresh services so the result cache cannot mask a divergence.
   ServiceOptions options;
   options.result_cache_bytes = 0;
+  options.enable_dag_compression = dag;
   QueryService json_service(collection, options);
   QueryService xql_service(collection, options);
   QueryOutcome via_json = json_service.HandleQuery(json_request);
@@ -111,16 +104,15 @@ void ExpectPairIdentity(const collection::Collection& collection,
 TEST(XqlEquivalenceTest, CanonicalPairsAcrossStrategiesTopKAndDag) {
   collection::Collection collection = MakeCollection();
   for (bool dag : {false, true}) {
-    DagSwitchGuard guard(dag);
     for (const Pair& pair : kCanonicalPairs) {
-      ExpectPairIdentity(collection, pair.json, pair.xql,
+      ExpectPairIdentity(collection, pair.json, pair.xql, dag,
                          StrFormat("dag=%d xql=%s ", dag ? 1 : 0, pair.xql));
     }
     for (const char* strategy : kStrategies) {
       std::string json_request = StrFormat(
           R"({"terms":["xquery","optimization"],"strategy":"%s"})", strategy);
       std::string xql = StrFormat("{xquery, optimization} USING %s", strategy);
-      ExpectPairIdentity(collection, json_request, xql,
+      ExpectPairIdentity(collection, json_request, xql, dag,
                          StrFormat("dag=%d strategy=%s ", dag ? 1 : 0,
                                    strategy));
       // Strategy × top-k: ranking must agree too.
@@ -129,7 +121,7 @@ TEST(XqlEquivalenceTest, CanonicalPairsAcrossStrategiesTopKAndDag) {
           strategy);
       std::string xql_topk =
           StrFormat("{xquery, optimization} USING %s TOP 2", strategy);
-      ExpectPairIdentity(collection, json_topk, xql_topk,
+      ExpectPairIdentity(collection, json_topk, xql_topk, dag,
                          StrFormat("dag=%d strategy=%s topk ", dag ? 1 : 0,
                                    strategy));
     }
@@ -154,9 +146,9 @@ TEST(XqlEquivalenceTest, ComposedQueriesAreDeterministicAcrossDag) {
     json::Value baseline;
     bool have_baseline = false;
     for (bool dag : {false, true}) {
-      DagSwitchGuard guard(dag);
       ServiceOptions options;
       options.result_cache_bytes = 0;
+      options.enable_dag_compression = dag;
       QueryService service(collection, options);
       QueryOutcome outcome = service.HandleQuery(body);
       ASSERT_EQ(outcome.http_status, 200) << text << outcome.body.Dump();

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "algebra/ops.h"
 #include "collection/collection.h"
 #include "common/json.h"
 #include "common/strings.h"
@@ -142,6 +141,7 @@ class RouterBatchTest : public ::testing::Test {
   static server::ServerOptions StrictNodeOptions() {
     server::ServerOptions options;
     options.service.enable_cross_document_floor = false;
+    options.service.enable_dag_compression = false;
     return options;
   }
 
@@ -170,10 +170,6 @@ class RouterBatchTest : public ::testing::Test {
 };
 
 TEST_F(RouterBatchTest, BatchItemsByteIdenticalToCombinedSequential) {
-  algebra::SetDagCompressionEnabled(false);
-  struct SwitchRestore {
-    ~SwitchRestore() { algebra::SetDagCompressionEnabled(true); }
-  } restore;
   auto combined_node = StartNode(*combined_, StrictNodeOptions());
   auto shards = StartShards(StrictNodeOptions());
   auto router = StartRouter(MapFor(shards), QuietRouterOptions());

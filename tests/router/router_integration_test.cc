@@ -22,7 +22,6 @@
 #include <thread>
 #include <vector>
 
-#include "algebra/ops.h"
 #include "collection/collection.h"
 #include "common/json.h"
 #include "common/rng.h"
@@ -237,12 +236,9 @@ TEST_F(RouterIntegrationTest, RandomizedQueriesByteIdenticalToCombinedNode) {
   // Dedup in particular skips duplicate documents entirely on the combined
   // node, so their fixed-point caches run colder than the shards' — visible
   // in the metrics of EXPLAIN requests, which bypass dedup.
-  algebra::SetDagCompressionEnabled(false);
-  struct SwitchRestore {
-    ~SwitchRestore() { algebra::SetDagCompressionEnabled(true); }
-  } restore;
   server::ServerOptions node_options;
   node_options.service.enable_cross_document_floor = false;
+  node_options.service.enable_dag_compression = false;
   auto combined_node = StartNode(*combined_, node_options);
   auto shards = StartShards(node_options);
   RouterOptions router_options = QuietRouterOptions();
@@ -494,8 +490,11 @@ TEST_F(RouterIntegrationTest, HedgeFiresOnStragglersAndStillCompletes) {
 }
 
 TEST_F(RouterIntegrationTest, SlowShardsMissDeadlineButRouterNeverHangs) {
+  // One worker per shard: a shard still busy with a request nobody waits
+  // for could not answer anything else.
   server::ServerOptions shard_options;
   shard_options.service.enable_debug_sleep = true;
+  shard_options.workers = 1;
   auto shards = StartShards(shard_options);
 
   RouterOptions options = QuietRouterOptions();
@@ -538,6 +537,21 @@ TEST_F(RouterIntegrationTest, SlowShardsMissDeadlineButRouterNeverHangs) {
     EXPECT_EQ(item.Find("status")->AsInt(), 504) << batch->body;
   }
   EXPECT_LT(elapsed, 2500) << "router waited past the item deadlines";
+
+  // The shards stopped working on the batch at its deadline, so each one's
+  // only worker is free again: a fresh /healthz answers promptly, not after
+  // the 6 s the batch's sleeps would take.
+  for (auto& shard : shards) {
+    start = std::chrono::steady_clock::now();
+    auto healthz = Get(shard->port(), "/healthz");
+    elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+                  std::chrono::steady_clock::now() - start)
+                  .count();
+    ASSERT_TRUE(healthz.ok()) << healthz.status().ToString();
+    EXPECT_EQ(healthz->status, 200) << healthz->body;
+    EXPECT_LT(elapsed, 1000) << "shard " << shard->port()
+                             << " kept its worker on the abandoned batch";
+  }
 
   router->Shutdown();
   for (auto& shard : shards) shard->Shutdown();

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "algebra/ops.h"
 #include "collection/collection.h"
 #include "common/json.h"
 #include "common/strings.h"
@@ -28,13 +27,6 @@
 
 namespace xfrag::server {
 namespace {
-
-struct DagSwitchGuard {
-  explicit DagSwitchGuard(bool enabled) {
-    algebra::SetDagCompressionEnabled(enabled);
-  }
-  ~DagSwitchGuard() { algebra::SetDagCompressionEnabled(true); }
-};
 
 collection::Collection MakeCollection() {
   collection::Collection collection;
@@ -130,8 +122,8 @@ TEST(BatchEquivalenceTest, ItemsMatchSequentialAcrossConfigurations) {
   for (size_t fp_entries : {size_t{0}, size_t{1}}) {
     for (size_t cache_bytes : {size_t{0}, size_t{1} << 20}) {
       for (bool dag : {false, true}) {
-        DagSwitchGuard guard(dag);
         ServiceOptions options;
+        options.enable_dag_compression = dag;
         options.fixed_point_cache.max_entries = fp_entries;
         options.result_cache_bytes = cache_bytes;
         ExpectBatchMatchesSequential(

@@ -8,20 +8,12 @@
 
 #include <string>
 
-#include "algebra/ops.h"
 #include "collection/collection.h"
 #include "common/json.h"
 #include "server/service.h"
 
 namespace xfrag::server {
 namespace {
-
-struct DagSwitchGuard {
-  explicit DagSwitchGuard(bool enabled) {
-    algebra::SetDagCompressionEnabled(enabled);
-  }
-  ~DagSwitchGuard() { algebra::SetDagCompressionEnabled(true); }
-};
 
 // Six documents: three copies of A, two of B, one unique C.
 collection::Collection MakeDuplicatedCollection() {
@@ -60,8 +52,10 @@ TEST(ServiceDagTest, BodiesByteIdenticalAcrossTheSwitch) {
   collection::Collection collection = MakeDuplicatedCollection();
   // Floor off: with it on, per-document metrics depend on the evaluation
   // partition (documented precedent), which would break the byte-compare.
-  ServiceOptions options;
-  options.enable_cross_document_floor = false;
+  ServiceOptions on_options;
+  on_options.enable_cross_document_floor = false;
+  ServiceOptions off_options = on_options;
+  off_options.enable_dag_compression = false;
   const char* kRequests[] = {
       R"({"terms":["apples","oranges"]})",
       R"({"terms":["apples","oranges"],"filter":"size<=4",)"
@@ -71,13 +65,9 @@ TEST(ServiceDagTest, BodiesByteIdenticalAcrossTheSwitch) {
   };
   for (const char* request : kRequests) {
     // Fresh services per mode so neither warms the other's caches.
-    QueryService service_off(collection, options);
-    QueryService service_on(collection, options);
-    json::Value body_off = [&] {
-      DagSwitchGuard off(false);
-      return service_off.HandleQuery(request).body;
-    }();
-    DagSwitchGuard on(true);
+    QueryService service_off(collection, off_options);
+    QueryService service_on(collection, on_options);
+    json::Value body_off = service_off.HandleQuery(request).body;
     json::Value body_on = service_on.HandleQuery(request).body;
     EXPECT_TRUE(Normalized(body_off) == Normalized(body_on))
         << request << "\noff: " << Normalized(body_off).Dump()
@@ -90,7 +80,6 @@ TEST(ServiceDagTest, MetricsExposeClassTableAndReplays) {
   ServiceOptions options;
   options.enable_cross_document_floor = false;
   QueryService service(collection, options);
-  DagSwitchGuard on(true);
 
   json::Value before = service.DagStatsJson();
   ASSERT_NE(before.Find("enabled"), nullptr);
@@ -116,7 +105,6 @@ TEST(ServiceDagTest, ExplainRequestsSkipDedupButStillSucceed) {
   ServiceOptions options;
   options.enable_cross_document_floor = false;
   QueryService service(collection, options);
-  DagSwitchGuard on(true);
   QueryOutcome outcome = service.HandleQuery(
       R"({"terms":["apples","oranges"],"explain":true})");
   ASSERT_EQ(outcome.http_status, 200);
@@ -132,8 +120,8 @@ TEST(ServiceDagTest, SwitchOffDisablesReplayEntirely) {
   collection::Collection collection = MakeDuplicatedCollection();
   ServiceOptions options;
   options.enable_cross_document_floor = false;
+  options.enable_dag_compression = false;
   QueryService service(collection, options);
-  DagSwitchGuard off(false);
   QueryOutcome outcome =
       service.HandleQuery(R"({"terms":["apples","oranges"]})");
   ASSERT_EQ(outcome.http_status, 200);
